@@ -357,7 +357,10 @@ let figures () =
     (Ir_util.accesses [ Stmt.Loop kk ]);
 
   banner "F3 (Procedure IndexSetSplit driving the LU derivation)";
-  (match Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop with
+  (match
+     Blocker.block_lu ~dctx:(Derivation.create ()) ~block_size_var:"KS"
+       K_lu.point_loop
+   with
   | Ok { steps; _ } ->
       List.iter
         (fun (s : Blocker.trace_step) -> Printf.printf "  %s: %s\n" s.name s.detail)

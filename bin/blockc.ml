@@ -127,29 +127,16 @@ let setup_trace fmt out =
               at_exit Obs.flush;
               Ok ()))
 
-let curated_arg =
-  Arg.(
-    value & flag
-    & info [ "curated-commutativity" ]
-        ~doc:
-          "Answer commutativity questions from the curated fact table (the \
-           paper's syntactic row-swap/column-update matcher) instead of \
-           deriving a proof with fractal symbolic analysis.  Fallback for \
-           when the prover is too slow or too weak; the default derive path \
-           consumes zero curated facts.")
-
-(* Wrap a command body so --trace/--trace-out (and the global
-   --curated-commutativity prover switch) are honoured and usage errors
-   are reported through cmdliner. *)
+(* Wrap a command body so --trace/--trace-out are honoured and usage
+   errors are reported through cmdliner. *)
 let traced run =
   Term.ret
     Term.(
-      const (fun fmt out curated k ->
-          if curated then Commutativity.use_curated := true;
+      const (fun fmt out k ->
           match setup_trace fmt out with
           | Error m -> `Error (true, m)
           | Ok () -> `Ok (k ()))
-      $ trace_arg $ trace_out_arg $ curated_arg $ run)
+      $ trace_arg $ trace_out_arg $ run)
 
 (* ---- list ---- *)
 

@@ -32,7 +32,10 @@ let () =
      impossible — running the plain-dependence driver on the pivoting
      kernel must fail. *)
   print_endline "==== pivoting without commutativity knowledge ====";
-  (match Blocker.block_lu ~block_size_var:"KS" K_lu_pivot.point_loop with
+  (match
+     Blocker.block_lu ~dctx:(Derivation.create ()) ~block_size_var:"KS"
+       K_lu_pivot.point_loop
+   with
   | Ok _ -> print_endline "unexpectedly succeeded!"
   | Error m -> Printf.printf "refused, as the paper predicts:\n  %s\n" m);
   print_newline ();

@@ -27,6 +27,16 @@ let assume_atom ctx a v =
       Symbolic.assume_le (Symbolic.assume_ge ctx x y) x y
   | Fsa_term.Aeq _, false -> ctx
 
+(* Is atom [a], assigned [v], refuted by [ctx]: is its negation
+   provable? *)
+let refuted ctx a v =
+  match (a, v) with
+  | Fsa_term.Ale (x, y), true -> Symbolic.prove_gt ctx x y
+  | Fsa_term.Ale (x, y), false -> Symbolic.prove_le ctx x y
+  | Fsa_term.Aeq (x, y), true ->
+      Symbolic.prove_lt ctx x y || Symbolic.prove_gt ctx x y
+  | Fsa_term.Aeq (x, y), false -> Symbolic.prove_eq ctx x y
+
 let case_desc atoms truth =
   String.concat " & "
     (List.map
@@ -125,29 +135,15 @@ let equiv_states ~ctx ?(ignore_scalars = []) (st_a : Fsa_eval.state)
               if i = n then begin
                 (* Prune truth assignments the context refutes: an
                    atom whose provable value contradicts its assigned
-                   one makes the case infeasible.  Check proof and
-                   disproof independently — when BOTH are provable the
-                   accumulated facts are themselves contradictory
-                   (e.g. [%p1 = 1] and [%p1 = 2] assumed together,
-                   under which anything proves), which also marks the
-                   case infeasible. *)
+                   one makes the case infeasible.  (When the assumed
+                   facts are themselves contradictory, e.g. [%p1 = 1]
+                   and [%p1 = 2] together, anything proves, so the
+                   case is refuted too.) *)
                 let consistent =
                   Array.for_all
                     (fun a ->
-                      let holds, fails =
-                        match a with
-                        | Fsa_term.Ale (x, y) ->
-                            ( Symbolic.prove_le ctx' x y,
-                              Symbolic.prove_gt ctx' x y )
-                        | Fsa_term.Aeq (x, y) ->
-                            ( Symbolic.prove_eq ctx' x y,
-                              Symbolic.prove_lt ctx' x y
-                              || Symbolic.prove_gt ctx' x y )
-                      in
-                      let assigned = Hashtbl.find truth (Fsa_term.atom_key a) in
-                      (not (holds && fails))
-                      && (not (holds && not assigned))
-                      && not (fails && assigned))
+                      let v = Hashtbl.find truth (Fsa_term.atom_key a) in
+                      not (refuted ctx' a v))
                     atoms_arr
                 in
                 if consistent then begin
@@ -172,11 +168,17 @@ let equiv_states ~ctx ?(ignore_scalars = []) (st_a : Fsa_eval.state)
               else begin
                 let a = atoms_arr.(i) in
                 let k = Fsa_term.atom_key a in
+                (* Refutation only grows with the facts, so an atom
+                   refuted as soon as it is assumed is refuted in every
+                   case below: skip them all (the check above would
+                   discard each one). *)
                 let branch v =
                   match assume_atom ctx' a v with
                   | ctx2 ->
-                      Hashtbl.replace truth k v;
-                      go (i + 1) ctx2
+                      if not (refuted ctx2 a v) then begin
+                        Hashtbl.replace truth k v;
+                        go (i + 1) ctx2
+                      end
                   | exception Invalid_argument _ -> ()
                 in
                 branch true;
@@ -269,12 +271,6 @@ let equivalent ?(ignore_scalars = []) ~ctx p q =
 
 (* ---- the fractal recursion ------------------------------------------- *)
 
-let gcounter = ref 0
-
-let gfresh base =
-  incr gcounter;
-  Printf.sprintf "%s.g%d" base !gcounter
-
 let unit_step (l : Stmt.loop) =
   match Expr.simplify l.step with Expr.Int 1 -> true | _ -> false
 
@@ -290,7 +286,15 @@ let too_complex why =
   contains "unsupported" || contains "case-split budget"
   || contains "unknown symbolic value"
 
-let rec commute_rec ~fuel ~ctx ~ignore_scalars p q =
+(* Prove [f s] for each [s] in order, stopping after the first failure:
+   a conjunction that has already failed cannot succeed. *)
+let rec prove_all f = function
+  | [] -> []
+  | s :: rest ->
+      let r = f s in
+      if r.verdict = Equivalent then r :: prove_all f rest else [ r ]
+
+let rec commute_rec ~dctx ~fuel ~ctx ~ignore_scalars p q =
   let goal = Printf.sprintf "commute [%s] with [%s]" (blurb p) (blurb q) in
   if fuel <= 0 then
     let v = Unknown "fuel exhausted" in
@@ -327,7 +331,7 @@ let rec commute_rec ~fuel ~ctx ~ignore_scalars p q =
     | Error why ->
         (* Too complex to compare directly: simplify both sides the
            same way and recurse on the (smaller) obligations. *)
-        let sub = commute_rec ~fuel:(fuel - 1) ~ignore_scalars in
+        let sub = commute_rec ~dctx ~fuel:(fuel - 1) ~ignore_scalars in
         let success = ref None in
         let failures = ref [] in
         let try_rule rule subgoals =
@@ -365,16 +369,16 @@ let rec commute_rec ~fuel ~ctx ~ignore_scalars p q =
         in
         try_rule "split-left" (fun () ->
             match p with
-            | _ :: _ :: _ -> Some (List.map (fun s -> sub ~ctx [ s ] q) p)
+            | _ :: _ :: _ -> Some (prove_all (fun s -> sub ~ctx [ s ] q) p)
             | _ -> None);
         try_rule "split-right" (fun () ->
             match q with
-            | _ :: _ :: _ -> Some (List.map (fun s -> sub ~ctx p [ s ]) q)
+            | _ :: _ :: _ -> Some (prove_all (fun s -> sub ~ctx p [ s ]) q)
             | _ -> None);
         try_rule "generic-iteration-right" (fun () ->
             match q with
             | [ Stmt.Loop l ] when unit_step l ->
-                let th = gfresh l.index in
+                let th = Derivation.fresh_generic dctx l.index in
                 let ctx' = Symbolic.with_loops ctx [ { l with index = th } ] in
                 let body = Stmt.subst_block [ (l.index, Expr.var th) ] l.body in
                 Some [ sub ~ctx:ctx' p body ]
@@ -382,7 +386,7 @@ let rec commute_rec ~fuel ~ctx ~ignore_scalars p q =
         try_rule "generic-iteration-left" (fun () ->
             match p with
             | [ Stmt.Loop l ] when unit_step l ->
-                let th = gfresh l.index in
+                let th = Derivation.fresh_generic dctx l.index in
                 let ctx' = Symbolic.with_loops ctx [ { l with index = th } ] in
                 let body = Stmt.subst_block [ (l.index, Expr.var th) ] l.body in
                 Some [ sub ~ctx:ctx' body q ]
@@ -404,8 +408,10 @@ let rec commute_rec ~fuel ~ctx ~ignore_scalars p q =
               cases = 0;
             })
 
-let commute ?(fuel = 8) ?(ignore_scalars = []) ~ctx p q =
-  observe (commute_rec ~fuel ~ctx ~ignore_scalars p q)
+let commute ?(dctx = Derivation.create ()) ?(fuel = 8) ?(ignore_scalars = [])
+    ~ctx p q =
+  let ctx = Derivation.bind dctx ctx in
+  observe (commute_rec ~dctx ~fuel ~ctx ~ignore_scalars p q)
 
 (* ---- auxiliary fragment analyses ------------------------------------- *)
 

@@ -44,6 +44,7 @@ val equivalent :
 (** Direct (non-recursive) equivalence of two fragments. *)
 
 val commute :
+  ?dctx:Derivation.t ->
   ?fuel:int ->
   ?ignore_scalars:string list ->
   ctx:Symbolic.t ->
@@ -53,9 +54,13 @@ val commute :
 (** [commute ~ctx p q] asks whether [p; q] and [q; p] are equivalent,
     trying direct evaluation first and then the fractal rules with
     [fuel] (default 8) bounding the recursion.  Exhausted fuel yields
-    [Unknown], never [Equivalent].  The verdict is recorded as an
-    [Obs] decision ([transform = "fsa"]) with the rendered proof tree
-    as evidence. *)
+    [Unknown], never [Equivalent].  A split rule stops at its first
+    subgoal that is not [Equivalent], so a failed proof tree lists the
+    subgoals up to that one.  [dctx] (default: a fresh derivation)
+    supplies the prover tables [ctx]'s queries are answered through
+    and the names of generic iterations ([K.g1], ...).  The verdict is
+    recorded as an [Obs] decision ([transform = "fsa"]) with the
+    rendered proof tree as evidence. *)
 
 val proof_to_lines : proof -> string list
 (** Indented one-line-per-node rendering of a proof tree. *)

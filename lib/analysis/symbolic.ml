@@ -1,6 +1,31 @@
-type t = { facts : Affine.t list; cache : (string, bool) Hashtbl.t }
+module Atbl = Hashtbl.Make (struct
+  type t = Affine.t
 
-let empty = { facts = []; cache = Hashtbl.create 64 }
+  let equal = Affine.equal
+  let hash = Affine.hash
+end)
+
+(* Fact sets, keyed in canonical (sorted) order. *)
+module Ftbl = Hashtbl.Make (struct
+  type t = Affine.t list
+
+  let equal = List.equal Affine.equal
+  let hash = List.fold_left (fun h a -> ((h * 31) + Affine.hash a) land max_int) 0
+end)
+
+(* Answers per fact set, and how many the tables hold in all. *)
+type memo = { sets : bool Atbl.t Ftbl.t; mutable size : int }
+
+type t = {
+  facts : Affine.t list;
+  memo : memo option;
+  mutable answers : bool Atbl.t option;
+      (** this fact set's table in [memo], looked up on first query *)
+}
+
+let empty = { facts = []; memo = None; answers = None }
+let create_memo () = { sets = Ftbl.create 64; size = 0 }
+let with_memo memo t = { facts = t.facts; memo = Some memo; answers = None }
 
 let add_fact t f =
   match Affine.is_const f with
@@ -10,7 +35,7 @@ let add_fact t f =
       t
   | None ->
       if List.exists (Affine.equal f) t.facts then t
-      else { facts = f :: t.facts; cache = Hashtbl.create 64 }
+      else { facts = f :: t.facts; memo = t.memo; answers = None }
 
 let assume_nonneg t f = add_fact t f
 let assume_ge t a b = add_fact t (Affine.sub a b)
@@ -153,36 +178,111 @@ let of_loop_context loops = with_loops empty loops
    variable with a nonzero coefficient and considers only facts whose
    coefficient on that variable has the same sign (so subtraction
    reduces it), scaling to cancel the variable completely when the
-   coefficients divide.  Sound but incomplete; results are memoized per
-   context. *)
-let prove_nonneg t e =
-  let rec go depth e =
-    match Affine.vars e with
-    | [] -> Affine.constant e >= 0
-    | v :: _ ->
-        depth > 0
-        &&
-        let ce = Affine.coeff e v in
-        List.exists
-          (fun f ->
-            let cf = Affine.coeff f v in
-            if cf = 0 || cf * ce < 0 then false
-            else
-              let lam =
-                if ce mod cf = 0 && ce / cf > 0 then ce / cf
-                else if abs cf <= abs ce then 1
-                else 0
-              in
-              lam > 0 && go (depth - 1) (Affine.sub e (Affine.scale lam f)))
-          t.facts
+   coefficients divide.  Sound but incomplete.
+
+   [go depth e] is a pure function of the fact SET (the order of the
+   facts only orders the [exists]), the residual [e] and the depth
+   budget, and it is monotone in the budget.  So the search memoizes at
+   two scopes, neither of which can change an answer:
+   - within one query, every residual that failed, with the largest
+     budget it failed with; without it the search re-explores
+     [e - f1 - f2] under every order of the facts ([e - f2 - f1] is the
+     same residual);
+   - across queries, the answer at the full budget, per canonical fact
+     set, in a [memo] that every context holding that set shares.
+   The residual table dies with its query: kept per fact set it saves
+   few further nodes and holds on to every residual ever visited.  The
+   search also drops, exactly, every residual with a variable no fact
+   can reduce (see [stuck]). *)
+let max_depth = 8
+
+(* The [memo] starts over once it holds this many answers, so the
+   memory a derivation's prover keeps stays flat. *)
+let max_answers = 512
+
+let search facts e =
+  (* For each residual that failed, the largest budget it failed with
+     (a success ends the whole search, so successes need no record). *)
+  let failed = Atbl.create 64 in
+  let by_var = Hashtbl.create 16 in
+  (* The facts mentioning [v], with their coefficients on it. *)
+  let facts_on v =
+    match Hashtbl.find_opt by_var v with
+    | Some fs -> fs
+    | None ->
+        let fs =
+          List.filter_map
+            (fun f -> match Affine.coeff f v with 0 -> None | c -> Some (c, f))
+            facts
+        in
+        Hashtbl.add by_var v fs;
+        fs
   in
-  let key = Affine.to_string e in
-  match Hashtbl.find_opt t.cache key with
-  | Some r -> r
+  (* A variable no fact can reduce: no fact mentioning it has the same
+     sign, so subtracting facts only moves its coefficient further from
+     zero, and no residual below this one is a constant. *)
+  let stuck v c = not (List.exists (fun (cf, _) -> cf * c > 0) (facts_on v)) in
+  let rec go depth e =
+    match Affine.lead e with
+    | None -> Affine.constant e >= 0
+    | Some (v, ce) ->
+        depth > 0
+        && (not (Affine.exists_term stuck e))
+        && (match Atbl.find_opt failed e with Some d -> d < depth | None -> true)
+        &&
+        let r =
+          List.exists
+            (fun (cf, f) ->
+              if cf * ce < 0 then false
+              else
+                let lam =
+                  if ce mod cf = 0 && ce / cf > 0 then ce / cf
+                  else if abs cf <= abs ce then 1
+                  else 0
+                in
+                lam > 0 && go (depth - 1) (Affine.sub e (Affine.scale lam f)))
+            (facts_on v)
+        in
+        if not r then Atbl.replace failed e depth;
+        r
+  in
+  go max_depth e
+
+let answers t memo =
+  match t.answers with
+  | Some table -> table
   | None ->
-      let r = go 8 e in
-      Hashtbl.add t.cache key r;
-      r
+      let set = List.sort Affine.compare t.facts in
+      let table =
+        match Ftbl.find_opt memo.sets set with
+        | Some table -> table
+        | None ->
+            let table = Atbl.create 8 in
+            Ftbl.add memo.sets set table;
+            table
+      in
+      t.answers <- Some table;
+      table
+
+(* Only a context with a memo is ever mutated: one without (like
+   [empty] and every context grown from it) is safe to share between
+   domains. *)
+let prove_nonneg t e =
+  match t.memo with
+  | None -> search t.facts e
+  | Some memo -> (
+      let table = answers t memo in
+      match Atbl.find_opt table e with
+      | Some r -> r
+      | None ->
+          let r = search t.facts e in
+          Atbl.add table e r;
+          memo.size <- memo.size + 1;
+          if memo.size >= max_answers then begin
+            Ftbl.reset memo.sets;
+            memo.size <- 0
+          end;
+          r)
 
 let prove_ge t a b = prove_nonneg t (Affine.sub a b)
 let prove_gt t a b = prove_nonneg t (Affine.sub (Affine.sub a b) (Affine.const 1))

@@ -10,6 +10,21 @@ type t
 (** A conjunction of facts [f >= 0]. *)
 
 val empty : t
+(** No facts and no memo.  A context without a memo is never mutated,
+    so it is safe to share between domains. *)
+
+type memo
+(** Prover answers per canonical fact set, for one derivation (see
+    {!Derivation}): contexts that hold the same facts, in any order,
+    share them.  Bounded (it starts over after 512 answers), and not
+    domain-safe. *)
+
+val create_memo : unit -> memo
+
+val with_memo : memo -> t -> t
+(** The same facts, answering through [memo]; every context grown from
+    the result shares it.  Answers are unchanged: only the search is
+    memoized. *)
 
 val assume_nonneg : t -> Affine.t -> t
 val assume_ge : t -> Affine.t -> Affine.t -> t
@@ -48,6 +63,12 @@ val with_loops_cases : t -> Stmt.loop list -> t list
     context when the case count explodes. *)
 
 val prove_nonneg : t -> Affine.t -> bool
+(** [prove_nonneg t e] searches, to depth 8, for [e] as a constant
+    [c >= 0] plus a nonnegative integer combination of the facts.  The
+    search memoizes the residuals that fail, and the context's memo (if
+    any) the answers; the answer does not depend on the order facts
+    were assumed in. *)
+
 val prove_ge : t -> Affine.t -> Affine.t -> bool
 val prove_gt : t -> Affine.t -> Affine.t -> bool
 val prove_le : t -> Affine.t -> Affine.t -> bool

@@ -2,7 +2,7 @@ type entry = {
   name : string;
   paper_ref : string;
   kernel : Kernel_def.t;
-  derive : unit -> (Stmt.t Blocker.traced, string) result;
+  derive : Derivation.t -> (Stmt.t Blocker.traced, string) result;
   extra_bindings : (string * int) list;
   extra_setup : Env.t -> bindings:(string * int) list -> unit;
   default_bindings : (string * int) list;
@@ -19,7 +19,7 @@ let matmul_names =
   If_inspection.default_names ~prefix:"K"
     ~used:(Ir_util.index_vars [ Stmt.Loop K_matmul.nest ])
 
-let matmul_derive () =
+let matmul_derive (_ : Derivation.t) =
   match If_inspection.apply ~names:matmul_names K_matmul.guarded_k_loop with
   | Error _ as e -> e
   | Ok block ->
@@ -32,22 +32,15 @@ let matmul_scratch env ~bindings =
 
 (* ---- Givens ---- *)
 
-let givens_names = ref None
+let givens_names = Givens_opt.inspector_names K_givens.point_loop
 
-let givens_derive () =
-  match Givens_opt.optimize K_givens.point_loop with
-  | Error _ as e -> e
-  | Ok (traced, names) ->
-      givens_names := Some names;
-      Ok traced
+let givens_derive (_ : Derivation.t) =
+  Result.map fst (Givens_opt.optimize K_givens.point_loop)
 
 let givens_scratch env ~bindings =
-  (match !givens_names with
-  | None -> ignore (givens_derive ())
-  | Some _ -> ());
-  match !givens_names with
-  | None -> ()
-  | Some names ->
+  match givens_names with
+  | Error _ -> ()
+  | Ok names ->
       let m = List.assoc "M" bindings in
       Env.add_iarray env names.If_inspection.lb [ (1, (m / 2) + 1) ];
       Env.add_iarray env names.If_inspection.ub [ (1, (m / 2) + 1) ];
@@ -65,7 +58,7 @@ let conv_ctx =
   let ctx = List.fold_left Symbolic.assume_pos ctx [ "N1"; "N2"; "N3" ] in
   Symbolic.assume_ge ctx (Affine.var "N2") (Affine.const (conv_factor - 1))
 
-let split_derive loop () =
+let split_derive loop (_ : Derivation.t) =
   match Blocker.block_trapezoid ~ctx:conv_ctx ~factor:conv_factor loop with
   | Error _ as e -> e
   | Ok { result = [ s ]; steps } -> Ok { Blocker.result = s; steps }
@@ -76,9 +69,11 @@ let split_derive loop () =
 
 (* ---- Householder: the paper's negative result (§5.3) ---- *)
 
-let householder_derive () =
+let householder_derive dctx =
   let r =
-    match Blocker.block_lu ~block_size_var:"KS" K_householder.point_loop with
+    match
+      Blocker.block_lu ~dctx ~block_size_var:"KS" K_householder.point_loop
+    with
     | Ok _ ->
         (* §5.3 says this must not happen; surface it loudly if it does. *)
         Error
@@ -106,7 +101,8 @@ let entries =
       name = "lu";
       paper_ref = "§5.1, Figures 5-6";
       kernel = K_lu.kernel;
-      derive = (fun () -> Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop);
+      derive =
+        (fun dctx -> Blocker.block_lu ~dctx ~block_size_var:"KS" K_lu.point_loop);
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
       default_bindings = [ ("N", 24) ];
@@ -117,8 +113,9 @@ let entries =
       paper_ref = "§5.1, Table 3 (2+)";
       kernel = K_lu.kernel;
       derive =
-        (fun () ->
-          Blocker.block_lu_opt ~block_size_var:"KS" ~factor:4 K_lu.point_loop);
+        (fun dctx ->
+          Blocker.block_lu_opt ~dctx ~block_size_var:"KS" ~factor:4
+            K_lu.point_loop);
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
       default_bindings = [ ("N", 24) ];
@@ -129,7 +126,9 @@ let entries =
       paper_ref = "§5.2, Figures 7-8";
       kernel = K_lu_pivot.kernel;
       derive =
-        (fun () -> Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop);
+        (fun dctx ->
+          Blocker.block_lu_pivot ~dctx ~block_size_var:"KS"
+            K_lu_pivot.point_loop);
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
       default_bindings = [ ("N", 24) ];
@@ -140,8 +139,8 @@ let entries =
       paper_ref = "§5.2, Table 4 (1+)";
       kernel = K_lu_pivot.kernel;
       derive =
-        (fun () ->
-          Blocker.block_lu_pivot_opt ~block_size_var:"KS" ~factor:4
+        (fun dctx ->
+          Blocker.block_lu_pivot_opt ~dctx ~block_size_var:"KS" ~factor:4
             K_lu_pivot.point_loop);
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
@@ -153,7 +152,8 @@ let entries =
       paper_ref = "§8 breadth (ours)";
       kernel = K_trisolve.kernel;
       derive =
-        (fun () -> Blocker.block_lu ~block_size_var:"KS" K_trisolve.point_loop);
+        (fun dctx ->
+          Blocker.block_lu ~dctx ~block_size_var:"KS" K_trisolve.point_loop);
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
       default_bindings = [ ("N", 24) ];
@@ -164,7 +164,8 @@ let entries =
       paper_ref = "§8 breadth (ours)";
       kernel = K_cholesky.kernel;
       derive =
-        (fun () -> Blocker.block_lu ~block_size_var:"KS" K_cholesky.point_loop);
+        (fun dctx ->
+          Blocker.block_lu ~dctx ~block_size_var:"KS" K_cholesky.point_loop);
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
       default_bindings = [ ("N", 24) ];
@@ -224,7 +225,9 @@ let entries =
 
 let find name = List.find_opt (fun e -> String.equal e.name name) entries
 let names () = List.map (fun e -> e.name) entries
-let derive e = e.derive ()
+let verdicts = Derivation.verdicts ()
+
+let derive ?(dctx = Derivation.create ~verdicts ()) e = e.derive dctx
 
 let with_scratch entry =
   {

@@ -18,8 +18,9 @@ type entry = {
   name : string;
   paper_ref : string;  (** section / figure in the paper *)
   kernel : Kernel_def.t;
-  derive : unit -> (Stmt.t Blocker.traced, string) result;
-      (** run the compiler driver on the kernel's IR *)
+  derive : Derivation.t -> (Stmt.t Blocker.traced, string) result;
+      (** derive the kernel's transformed IR within the given
+          derivation *)
   extra_bindings : (string * int) list;
       (** parameters only the transformed code uses (block sizes) *)
   extra_setup : Env.t -> bindings:(string * int) list -> unit;
@@ -36,7 +37,15 @@ val entries : entry list
 val find : string -> entry option
 val names : unit -> string list
 
-val derive : entry -> (Stmt.t Blocker.traced, string) result
+val verdicts : Derivation.verdicts
+(** The process's commutativity verdict memo (domain-safe).  It outlives
+    derivations on purpose: [lu_pivot] reuses every proof
+    [lu_pivot_opt] made. *)
+
+val derive : ?dctx:Derivation.t -> entry -> (Stmt.t Blocker.traced, string) result
+(** Derive [entry] in [dctx] (default: a fresh derivation over
+    {!verdicts}, whose prover tables are dropped when it returns).
+    Deterministic, and safe to call from several domains at once. *)
 
 val verify :
   ?bindings:(string * int) list -> ?seed:int -> entry -> (unit, string) result

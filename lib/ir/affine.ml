@@ -2,21 +2,23 @@ module Smap = Map.Make (String)
 
 type t = { terms : int Smap.t; const : int }
 
-let norm terms = Smap.filter (fun _ c -> c <> 0) terms
 let const c = { terms = Smap.empty; const = c }
 let zero = const 0
 let var v = { terms = Smap.singleton v 1; const = 0 }
 
+(* No stored coefficient is zero: sums that cancel drop the variable. *)
 let add a b =
   {
     terms =
-      norm
-        (Smap.union (fun _ x y -> Some (x + y)) a.terms b.terms);
+      Smap.union
+        (fun _ x y -> match x + y with 0 -> None | s -> Some s)
+        a.terms b.terms;
     const = a.const + b.const;
   }
 
 let scale k a =
   if k = 0 then zero
+  else if k = 1 then a
   else { terms = Smap.map (fun c -> k * c) a.terms; const = k * a.const }
 
 let neg a = scale (-1) a
@@ -59,7 +61,20 @@ let is_const = is_const_form
 let coeff a v = match Smap.find_opt v a.terms with Some c -> c | None -> 0
 let constant a = a.const
 let vars a = List.map fst (Smap.bindings a.terms)
+let lead a = Smap.min_binding_opt a.terms
+let exists_term p a = Smap.exists p a.terms
 let equal a b = a.const = b.const && Smap.equal Int.equal a.terms b.terms
+
+let compare a b =
+  match Int.compare a.const b.const with
+  | 0 -> Smap.compare Int.compare a.terms b.terms
+  | c -> c
+
+let hash a =
+  Smap.fold
+    (fun v c h -> (((h * 31) + Hashtbl.hash v) * 31) + c)
+    a.terms a.const
+  land max_int
 
 let split_on v a = (coeff a v, { a with terms = Smap.remove v a.terms })
 

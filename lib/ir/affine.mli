@@ -32,10 +32,23 @@ val constant : t -> int
 val vars : t -> string list
 (** Variables with nonzero coefficient, sorted. *)
 
+val lead : t -> (string * int) option
+(** The first of {!vars} with its coefficient, or [None] for a constant. *)
+
+val exists_term : (string -> int -> bool) -> t -> bool
+(** Does some variable, with its (nonzero) coefficient, satisfy the
+    predicate? *)
+
 val is_const : t -> int option
 (** [Some c] when the form has no variables. *)
 
 val equal : t -> t -> bool
+
+val compare : t -> t -> int
+(** A total order consistent with {!equal}. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal}, for keying tables on forms. *)
 
 val subst : string -> t -> t -> t
 (** [subst v by t] replaces variable [v] with the affine form [by]. *)

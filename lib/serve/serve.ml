@@ -278,33 +278,55 @@ let backend_of req =
         (Printf.sprintf "unknown backend \"%s\" (%s)" tag
            (String.concat " | " Backend.names))
 
-(* Derivation is pure and the kernel registry is fixed, so the server
-   derives each kernel once; repeat compile/execute requests go
-   straight to the blueprint lookup.  Duplicate derivations during a
-   race are benign (deterministic result). *)
-let derived_mu = Mutex.create ()
+(* Derivation is deterministic and the kernel registry is fixed, so the
+   server derives each kernel once, for the derive op and for transformed
+   compiles alike, and keeps the traced result (or the rejection
+   reason).  One cell per kernel, created up front; its lock is held
+   while the kernel derives, so concurrent requests for one kernel wait
+   for that derivation instead of repeating it. *)
+type derived_cell = {
+  lock : Mutex.t;
+  mutable result : (Stmt.t Blocker.traced, string) result option;
+  mutable runs : int;
+}
 
-let derived : (string, (Stmt.t list, string) result) Hashtbl.t =
-  Hashtbl.create 8
+let derived_cells =
+  let cells = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Blockability.entry) ->
+      Hashtbl.replace cells e.name
+        { lock = Mutex.create (); result = None; runs = 0 })
+    Blockability.entries;
+  cells
+
+let derivation entry =
+  let cell = Hashtbl.find derived_cells entry.Blockability.name in
+  Mutex.protect cell.lock (fun () ->
+      match cell.result with
+      | Some r -> r
+      | None ->
+          (* No response shows the IR after each step: keep only the
+             final program. *)
+          let forget_ir (s : Blocker.trace_step) = { s with after = [] } in
+          let r =
+            Result.map
+              (fun (t : Stmt.t Blocker.traced) ->
+                { t with steps = List.map forget_ir t.steps })
+              (Blockability.derive entry)
+          in
+          cell.result <- Some r;
+          cell.runs <- cell.runs + 1;
+          r)
+
+let derivations name =
+  match Hashtbl.find_opt derived_cells name with
+  | Some cell -> Mutex.protect cell.lock (fun () -> cell.runs)
+  | None -> 0
 
 let derived_block entry =
-  let name = entry.Blockability.name in
-  Mutex.lock derived_mu;
-  match Hashtbl.find_opt derived name with
-  | Some r ->
-      Mutex.unlock derived_mu;
-      r
-  | None ->
-      Mutex.unlock derived_mu;
-      let r =
-        match Blockability.derive entry with
-        | Error e -> Error ("derivation failed: " ^ e)
-        | Ok { Blocker.result; _ } -> Ok [ result ]
-      in
-      Mutex.lock derived_mu;
-      Hashtbl.replace derived name r;
-      Mutex.unlock derived_mu;
-      r
+  match derivation entry with
+  | Error e -> Error ("derivation failed: " ^ e)
+  | Ok { Blocker.result; _ } -> Ok [ result ]
 
 let compile_variant ?tm ~backend entry variant =
   let t0 = Obs.now_ns () in
@@ -428,7 +450,7 @@ let handle_derive ?id req =
   | Error m -> errorf ?id "%s" m
   | Ok entry -> (
       let name = entry.Blockability.name in
-      match Blockability.derive entry with
+      match derivation entry with
       | Error reason ->
           (* The paper's negative results: rejection is the correct
              outcome for a non-blockable kernel, not a server error. *)

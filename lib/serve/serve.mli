@@ -134,6 +134,12 @@ val handle_line : ?queue_ns:int -> exec_pool:Pool.t -> string -> string * bool
     newline).  Malformed JSON yields an ["ok":false] response, never an
     exception. *)
 
+val derivations : string -> int
+(** How many times this process's server has derived the named
+    kernel: at most once, however many [derive],
+    transformed [compile], [execute] or [batch] requests name it (they
+    share one cache of the traced result or the rejection reason). *)
+
 val run_channel : qpool:Pool.t -> exec_pool:Pool.t -> in_channel -> out_channel -> bool
 (** Serve one connection: a reader domain feeds a {!Jobq} drained by
     [qpool]'s lanes, responses are written mutex-serialized.  Returns

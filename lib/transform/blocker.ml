@@ -38,8 +38,8 @@ let find_loop_value block target =
    and block sizes, plus the bounds of the blocked outer loop and of the
    strip loop (in particular [KK <= K + KS - 1], which bound
    simplification and section disjointness rely on). *)
-let universal_ctx ~block_size_var (outer : Stmt.loop) (strip : Stmt.loop) =
-  let ctx = Symbolic.empty in
+let universal_ctx ~dctx ~block_size_var (outer : Stmt.loop) (strip : Stmt.loop) =
+  let ctx = Derivation.symbolic dctx in
   let ctx = Symbolic.assume_pos ctx block_size_var in
   let ctx =
     List.fold_left Symbolic.assume_pos ctx
@@ -70,7 +70,7 @@ let split_candidates_of (dep : Dependence.t) (kk : Stmt.loop) =
 
 (* Try one preventing dependence: plan a split, apply it, simplify bounds
    and attempt distribution of [kk] into [prefix stmts] ++ [last stmt]. *)
-let try_dep ~ctx ~ctx_plan ~ignore_dep_of (kk : Stmt.loop) (dep : Dependence.t) =
+let try_dep ~ctx ~ctx_plan ~may_ignore (kk : Stmt.loop) (dep : Dependence.t) =
   let* plan =
     Index_set_split.procedure ~ctx:ctx_plan ~source:dep.source ~sink:dep.sink
       ~split_candidates:(split_candidates_of dep kk)
@@ -104,7 +104,7 @@ let try_dep ~ctx ~ctx_plan ~ignore_dep_of (kk : Stmt.loop) (dep : Dependence.t) 
           let tail = List.init (n - top - 1) (fun i -> top + 1 + i) in
           let* loops =
             Distribution.apply_with_override ~ctx
-              ~ignore_dep:(ignore_dep_of ctx kk') kk' ~groups:[ head; tail ]
+              ~ignore_dep:(may_ignore ~ctx kk') kk' ~groups:[ head; tail ]
           in
           Ok (plan, loops)
 
@@ -146,7 +146,7 @@ let interchange_tail (tail : Stmt.t) =
   | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ ->
       Error "distributed tail is not a loop"
 
-let derive ~block_size_var ~ignore_dep_of (l : Stmt.loop) =
+let block_lu_with ~dctx ~may_ignore ~block_size_var (l : Stmt.loop) =
   Obs.span ~cat:"driver" "blocker.derive"
     ~args:[ ("loop", Obs.Str l.index); ("block_size", Obs.Str block_size_var) ]
   @@ fun () ->
@@ -172,7 +172,7 @@ let derive ~block_size_var ~ignore_dep_of (l : Stmt.loop) =
     | [ Stmt.Loop kk ] -> Ok kk
     | _ -> Error "strip mining did not produce a strip loop"
   in
-  let ctx = universal_ctx ~block_size_var stripped kk in
+  let ctx = universal_ctx ~dctx ~block_size_var stripped kk in
   let ctx_plan = planning_ctx ~block_size_var stripped ctx in
   (* The point of the exercise: plain distribution must fail. *)
   let* () =
@@ -191,7 +191,7 @@ let derive ~block_size_var ~ignore_dep_of (l : Stmt.loop) =
             ("no preventing dependence yields a usable split: "
             ^ String.concat "; " (List.sort_uniq String.compare errs))
       | dep :: rest -> (
-          match try_dep ~ctx ~ctx_plan ~ignore_dep_of kk dep with
+          match try_dep ~ctx ~ctx_plan ~may_ignore kk dep with
           | Ok (plan, loops) -> Ok (dep, plan, loops)
           | Error e -> search (e :: errs) rest)
     in
@@ -213,13 +213,11 @@ let derive ~block_size_var ~ignore_dep_of (l : Stmt.loop) =
     record "result" "blocked kernel" [ result ];
     Ok { result; steps = List.rev !steps }
 
-let block_lu ~block_size_var l =
-  derive ~block_size_var ~ignore_dep_of:(fun _ _ _ -> false) l
+let block_lu ~dctx ~block_size_var l =
+  block_lu_with ~dctx ~may_ignore:(fun ~ctx:_ _ _ -> false) ~block_size_var l
 
-let block_lu_pivot ~block_size_var l =
-  derive ~block_size_var
-    ~ignore_dep_of:(fun ctx kk dep -> Commutativity.may_ignore ~ctx kk dep)
-    l
+let block_lu_pivot ~dctx ~block_size_var l =
+  block_lu_with ~dctx ~may_ignore:(Commutativity.may_ignore ~dctx) ~block_size_var l
 
 
 (* ------------------------------------------------------------------ *)
@@ -327,7 +325,7 @@ let scalar_replace_all ~ctx block =
    cache-blocked LU-shaped kernel (with or without pivoting) and run
    scalar replacement over every innermost loop.  [label] names the
    paper's variant in the trace. *)
-let opt_tail ~block_size_var ~factor ~label { result; steps } =
+let opt_tail ~dctx ~block_size_var ~factor ~label { result; steps } =
   let steps = ref (List.rev steps) in
   let record name detail after =
     Obs.instant ~cat:"driver" ~args:[ ("detail", Obs.Str detail) ] name;
@@ -348,7 +346,7 @@ let opt_tail ~block_size_var ~factor ~label { result; steps } =
      and J loop bounds, under which the strip loop's MIN bound loses its
      [I - 1] arm in the rectangular region. *)
   let base_ctx =
-    let ctx = Symbolic.assume_pos Symbolic.empty block_size_var in
+    let ctx = Symbolic.assume_pos (Derivation.symbolic dctx) block_size_var in
     List.fold_left Symbolic.assume_pos ctx
       (Ir_util.symbolic_params [ result ])
   in
@@ -372,19 +370,19 @@ let opt_tail ~block_size_var ~factor ~label { result; steps } =
     [ full ];
   Ok { result = full; steps = List.rev !steps }
 
-let block_lu_opt ~block_size_var ~factor (l : Stmt.loop) =
+let block_lu_opt ~dctx ~block_size_var ~factor (l : Stmt.loop) =
   Obs.span ~cat:"driver" "blocker.block_lu_opt"
     ~args:[ ("loop", Obs.Str l.index); ("factor", Obs.Int factor) ]
   @@ fun () ->
-  let* traced = block_lu ~block_size_var l in
-  opt_tail ~block_size_var ~factor ~label:"2+" traced
+  let* traced = block_lu ~dctx ~block_size_var l in
+  opt_tail ~dctx ~block_size_var ~factor ~label:"2+" traced
 
-let block_lu_pivot_opt ~block_size_var ~factor (l : Stmt.loop) =
+let block_lu_pivot_opt ~dctx ~block_size_var ~factor (l : Stmt.loop) =
   Obs.span ~cat:"driver" "blocker.block_lu_pivot_opt"
     ~args:[ ("loop", Obs.Str l.index); ("factor", Obs.Int factor) ]
   @@ fun () ->
-  let* traced = block_lu_pivot ~block_size_var l in
-  opt_tail ~block_size_var ~factor ~label:"1+" traced
+  let* traced = block_lu_pivot ~dctx ~block_size_var l in
+  opt_tail ~dctx ~block_size_var ~factor ~label:"1+" traced
 
 (* ------------------------------------------------------------------ *)
 (* Block-size choice                                                   *)

@@ -22,10 +22,16 @@ val strip_mine_and_interchange :
     loop inward [levels] positions (rectangular or triangular
     interchange chosen per level). *)
 
-val block_lu : block_size_var:string -> Stmt.loop -> (Stmt.t traced, string) result
+val block_lu :
+  dctx:Derivation.t ->
+  block_size_var:string ->
+  Stmt.loop ->
+  (Stmt.t traced, string) result
 (** §5.1: derive block LU decomposition (Figure 6) from the point
-    algorithm.  The input must be the point LU K-loop whose body is
-    [scale loop; update nest].  Steps performed and checked:
+    algorithm.  Each LU derivation here runs within [dctx], whose
+    prover tables answer its analyses' queries.  The input must be the
+    point LU K-loop whose body is [scale loop; update nest].  Steps
+    performed and checked:
 
     + strip-mine K by the symbolic block size;
     + attempt distribution of the strip loop — the analysis must report
@@ -37,15 +43,32 @@ val block_lu : block_size_var:string -> Stmt.loop -> (Stmt.t traced, string) res
     + interchange the strip loop to the innermost position of the
       wide-column nest (rectangular, then triangular). *)
 
+val block_lu_with :
+  dctx:Derivation.t ->
+  may_ignore:(ctx:Symbolic.t -> Stmt.loop -> Dependence.t -> bool) ->
+  block_size_var:string ->
+  Stmt.loop ->
+  (Stmt.t traced, string) result
+(** The derivation behind {!block_lu} and {!block_lu_pivot}:
+    distribution of the strip loop may ignore the dependences
+    [may_ignore] licenses (given the universal facts and the strip
+    loop).  {!block_lu} ignores none; {!block_lu_pivot} asks
+    {!Commutativity.may_ignore}; tests pass oracles. *)
+
 val block_lu_pivot :
-  block_size_var:string -> Stmt.loop -> (Stmt.t traced, string) result
+  dctx:Derivation.t ->
+  block_size_var:string ->
+  Stmt.loop ->
+  (Stmt.t traced, string) result
 (** §5.2: same derivation for LU with partial pivoting.  Plain
     dependence-based distribution must fail (the row-swap recurrence);
-    the driver then asks {!Commutativity.may_ignore} to license ignoring
-    dependences between row interchanges and whole-column updates, after
-    which distribution proceeds and yields Figure 8. *)
+    it then asks {!Commutativity.may_ignore}, within the
+    derivation [dctx] (fresh names, verdict memo), to license ignoring
+    dependences between row interchanges and whole-column updates,
+    after which distribution proceeds and yields Figure 8. *)
 
 val block_lu_opt :
+  dctx:Derivation.t ->
   block_size_var:string ->
   factor:int ->
   Stmt.loop ->
@@ -59,6 +82,7 @@ val block_lu_opt :
     this is the variant whose measured speedups the paper reports. *)
 
 val block_lu_pivot_opt :
+  dctx:Derivation.t ->
   block_size_var:string ->
   factor:int ->
   Stmt.loop ->

@@ -26,6 +26,17 @@ let privatize ~setup ~apply =
       List.map (Stmt.rename_fvar s fresh) apply)
     apply shared
 
+let inspector_names (l_loop : Stmt.loop) =
+  match l_loop.body with
+  | [ Stmt.Loop j_loop ] ->
+      let used =
+        Ir_util.index_vars [ Stmt.Loop l_loop ]
+        @ List.map (fun (n, _, _) -> n) (Ir_util.arrays_of [ Stmt.Loop l_loop ])
+        @ Ir_util.symbolic_params [ Stmt.Loop l_loop ]
+      in
+      Ok (If_inspection.default_names ~prefix:j_loop.index ~used)
+  | _ -> Error "expected a single J sweep inside the L loop"
+
 let optimize (l_loop : Stmt.loop) =
   Obs.span ~cat:"driver" "givens.optimize"
     ~args:[ ("loop", Obs.Str l_loop.index) ]
@@ -107,12 +118,7 @@ let optimize (l_loop : Stmt.loop) =
        j_loop.index)
     [ Stmt.Loop expanded ];
   (* Step 4: fused IF-inspection + distribution of the J sweep. *)
-  let used =
-    Ir_util.index_vars [ Stmt.Loop l_loop ]
-    @ List.map (fun (n, _, _) -> n) (Ir_util.arrays_of [ Stmt.Loop l_loop ])
-    @ Ir_util.symbolic_params [ Stmt.Loop l_loop ]
-  in
-  let names = If_inspection.default_names ~prefix:j_loop.index ~used in
+  let* names = inspector_names l_loop in
   let ctx =
     List.fold_left Symbolic.assume_pos
       (Symbolic.of_loop_context [ l_loop ])

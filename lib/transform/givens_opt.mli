@@ -22,6 +22,11 @@
 val scratch_arrays : names:If_inspection.names -> string list
 (** Integer scratch the caller must declare: [lb], [ub] tables. *)
 
+val inspector_names : Stmt.loop -> (If_inspection.names, string) result
+(** The inspector names {!optimize} uses for this [L] loop: a pure
+    function of the loop, so a caller can size the range tables
+    without optimizing first. *)
+
 val optimize :
   Stmt.loop -> (Stmt.t Blocker.traced * If_inspection.names, string) result
 (** Returns the optimized [L] loop and the inspector names used (so the

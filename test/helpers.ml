@@ -22,6 +22,10 @@ let qcase ?(count = 100) name gen prop =
        ~name:(Printf.sprintf "%s [replay: QCHECK_SEED=%d]" name qcheck_seed)
        gen prop)
 
+(* A fresh derivation sharing the process's commutativity verdicts, as
+   [Blockability.derive] makes one. *)
+let dctx () = Derivation.create ~verdicts:Blockability.verdicts ()
+
 let ok_or_fail what = function
   | Ok v -> v
   | Error m -> Alcotest.failf "%s: %s" what m

@@ -25,7 +25,8 @@ let fig6_expected =
 
 let block_lu_golden () =
   let { Blocker.result; steps } =
-    ok_or_fail "block_lu" (Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop)
+    ok_or_fail "block_lu"
+      (Blocker.block_lu ~dctx:(dctx ()) ~block_size_var:"KS" K_lu.point_loop)
   in
   check_string "Figure 6" fig6_expected (Stmt.to_string result);
   Alcotest.(check (list string))
@@ -38,7 +39,8 @@ let gen_case =
 
 let block_lu_equiv (n, ks, seed) =
   let { Blocker.result; _ } =
-    Result.get_ok (Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop)
+    Result.get_ok
+      (Blocker.block_lu ~dctx:(dctx ()) ~block_size_var:"KS" K_lu.point_loop)
   in
   Kernel_def.equivalent K_lu.kernel [ result ] ~extra:[ ("KS", ks) ]
     ~bindings:[ ("N", n) ] ~seed
@@ -46,7 +48,9 @@ let block_lu_equiv (n, ks, seed) =
 
 let block_lu_pivot_equiv (n, ks, seed) =
   let { Blocker.result; _ } =
-    Result.get_ok (Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop)
+    Result.get_ok
+      (Blocker.block_lu_pivot ~dctx:(dctx ()) ~block_size_var:"KS"
+         K_lu_pivot.point_loop)
   in
   Kernel_def.equivalent K_lu_pivot.kernel [ result ] ~extra:[ ("KS", ks) ]
     ~bindings:[ ("N", n) ] ~seed
@@ -56,7 +60,9 @@ let block_lu_pivot_equiv (n, ks, seed) =
    distribution is illegal; the non-pivot driver must therefore fail on
    it, and plain distribution of the split body must be refused. *)
 let pivot_needs_commutativity () =
-  match Blocker.block_lu ~block_size_var:"KS" K_lu_pivot.point_loop with
+  match
+    Blocker.block_lu ~dctx:(dctx ()) ~block_size_var:"KS" K_lu_pivot.point_loop
+  with
   | Ok _ -> Alcotest.fail "pivoting LU must not block without commutativity"
   | Error _ -> ()
 
@@ -208,7 +214,7 @@ let two_level_tiling () =
    Cholesky, neither of which the paper studied. *)
 let breadth_equiv (n, ks, seed) =
   let check kernel loop =
-    match Blocker.block_lu ~block_size_var:"KS" loop with
+    match Blocker.block_lu ~dctx:(dctx ()) ~block_size_var:"KS" loop with
     | Error _ -> false
     | Ok { result; _ } ->
         Kernel_def.equivalent kernel [ result ] ~extra:[ ("KS", ks) ]
@@ -217,6 +223,41 @@ let breadth_equiv (n, ks, seed) =
   in
   check K_trisolve.kernel K_trisolve.point_loop
   && check K_cholesky.kernel K_cholesky.point_loop
+
+(* Derivation is safe on any number of domains: every registry entry
+   derived on 2 domains at once, 20 passes each, sharing one verdict
+   memo, prints exactly what a sequential derive prints. *)
+let render = function
+  | Error reason -> "rejected: " ^ reason
+  | Ok { Blocker.result; steps } ->
+      String.concat "\n"
+        (List.map (fun (s : Blocker.trace_step) -> s.name ^ ": " ^ s.detail) steps)
+      ^ "\n" ^ Stmt.to_string result
+
+let concurrent_derivation_is_deterministic () =
+  let derive_all verdicts =
+    List.map
+      (fun (e : Blockability.entry) ->
+        render (Blockability.derive ~dctx:(Derivation.create ~verdicts ()) e))
+      Blockability.entries
+  in
+  let sequential = derive_all (Derivation.verdicts ()) in
+  let shared = Derivation.verdicts () in
+  let worker () = List.init 20 (fun _ -> derive_all shared) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  List.iteri
+    (fun lane passes ->
+      List.iteri
+        (fun pass outputs ->
+          List.iter2
+            (fun (e : Blockability.entry) (want, got) ->
+              check_string
+                (Printf.sprintf "%s, domain %d, pass %d" e.name lane pass)
+                want got)
+            Blockability.entries
+            (List.combine sequential outputs))
+        passes)
+    [ Domain.join d1; Domain.join d2 ]
 
 let suite =
   ( "drivers",
@@ -239,4 +280,6 @@ let suite =
       case "two-level tiling" two_level_tiling;
       qcase ~count:25 "breadth: trisolve and Cholesky block too" gen_case
         breadth_equiv;
+      case "registry derives identically on 2 domains"
+        concurrent_derivation_is_deterministic;
     ] )

@@ -128,31 +128,49 @@ let fuel_soundness () =
   | Fsa.Unknown _ -> ()
   | Fsa.Equivalent -> Alcotest.fail "fuel 1 claimed equivalence"
 
-(* The acceptance gate: the default derive path blocks pivoting LU
-   without consuming a single curated commutativity fact, and agrees
-   with the curated matcher's derivation exactly. *)
+(* The acceptance gate: the FSA prover blocks pivoting LU to exactly the
+   program the paper's curated matcher (kept as an oracle in this
+   directory) licenses. *)
 let derived_matches_curated () =
-  let saved = !Commutativity.use_curated in
-  Fun.protect
-    ~finally:(fun () -> Commutativity.use_curated := saved)
-    (fun () ->
-      Commutativity.use_curated := false;
-      Commutativity.reset_lookups ();
-      let derived =
-        ok_or_fail "derived block_lu_pivot"
-          (Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop)
-      in
-      check_int "curated facts consumed on default path" 0
-        (Commutativity.lookups ());
-      Commutativity.use_curated := true;
-      let curated =
-        ok_or_fail "curated block_lu_pivot"
-          (Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop)
-      in
-      check_bool "curated table consulted in fallback mode" true
-        (Commutativity.lookups () > 0);
-      check_bool "derived and curated derivations agree" true
-        (Stmt.equal derived.Blocker.result curated.Blocker.result))
+  let lookups, may_ignore = Curated_commutativity.oracle () in
+  let derived =
+    ok_or_fail "derived block_lu_pivot"
+      (Blocker.block_lu_pivot ~dctx:(dctx ()) ~block_size_var:"KS"
+         K_lu_pivot.point_loop)
+  in
+  let curated =
+    ok_or_fail "curated block_lu_pivot"
+      (Blocker.block_lu_with ~dctx:(Derivation.create ()) ~may_ignore
+         ~block_size_var:"KS" K_lu_pivot.point_loop)
+  in
+  check_bool "curated oracle consulted" true (!lookups > 0);
+  check_bool "derived and curated derivations agree" true
+    (Stmt.equal derived.Blocker.result curated.Blocker.result)
+
+(* The verdict profile of the "1+" derivation from a cold verdict memo:
+   one [fsa] decision per commutativity obligation proved. *)
+let lu_pivot_opt_profile () =
+  let mem, events = Obs.memory () in
+  Obs.set_sink mem;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_sink Obs.null)
+      (fun () ->
+        Blockability.derive ~dctx:(Derivation.create ())
+          (Option.get (Blockability.find "lu_pivot_opt")))
+  in
+  ignore (ok_or_fail "lu_pivot_opt derives" r);
+  let proofs =
+    List.filter
+      (fun (e : Obs.event) -> e.cat = "decision" && e.name = "fsa")
+      (events ())
+  in
+  check_int "fsa decisions" 99 (List.length proofs);
+  check_int "equivalent verdicts" 15
+    (List.length
+       (List.filter
+          (fun (e : Obs.event) -> List.assoc_opt "applied" e.args = Some (Obs.Bool true))
+          proofs))
 
 let suite =
   ( "fsa",
@@ -164,4 +182,6 @@ let suite =
       case "fuel exhaustion is Unknown, never Equivalent" fuel_soundness;
       case "derived prover: zero curated facts, same result"
         derived_matches_curated;
+      case "lu_pivot_opt verdict profile: 99 proofs, 15 equivalent"
+        lu_pivot_opt_profile;
     ] )

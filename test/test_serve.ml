@@ -82,6 +82,26 @@ let suite =
           check_bool "blockable:false" false (bool_field "blockable" r);
           check_bool "carries the reason" true
             (String.length (str "reason" r) > 0));
+      case "derive and transformed compiles derive once per kernel" (fun () ->
+          require_native ();
+          let derive name =
+            let r = parsed (Printf.sprintf {|{"op":"derive","kernel":"%s"}|} name) in
+            check_bool (name ^ " ok") true (bool_field "ok" r);
+            List.map (fun f -> field f r) [ "blockable"; "steps"; "result"; "reason" ]
+          in
+          List.iter
+            (fun (e : Blockability.entry) ->
+              let first = derive e.name in
+              if e.name = "lu_pivot" || e.name = "householder" then
+                ignore
+                  (request
+                     (Printf.sprintf
+                        {|{"op":"compile","kernel":"%s","variant":"transformed"}|}
+                        e.name));
+              check_bool (e.name ^ ": repeat derive is the same response") true
+                (first = derive e.name);
+              check_int (e.name ^ " derivations") 1 (Serve.derivations e.name))
+            Blockability.entries);
       case "shutdown acknowledges and stops" (fun () ->
           let resp, stop =
             Serve.handle_line

@@ -120,6 +120,83 @@ let disjunctive_cases () =
   check_bool "conjunctive core keeps the MAX arm" true
     (Symbolic.prove_ge conj (av "I") (av "K" ++ ac 1))
 
+(* Random (fact set, query) pairs drawn from a fixed Lcg seed.  Either
+   facts over a few shared variables, with a query that is random or a
+   small combination of facts plus slack (so both answers occur); or a
+   chain [V1 >= V2 >= ... >= Vn] with some two-step shortcuts, shuffled,
+   asking [V1 >= Vn - c]: its proofs run near the depth budget, and the
+   same residual is reached along paths of different lengths. *)
+let random_affine rng ~vars ~max_coeff =
+  List.fold_left
+    (fun acc v ->
+      if Lcg.bool rng 0.5 then
+        Affine.add acc
+          (Affine.scale (Lcg.int rng ((2 * max_coeff) + 1) - max_coeff) (av v))
+      else acc)
+    (ac (Lcg.int rng 11 - 5))
+    vars
+
+let shuffle rng l =
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Lcg.int rng 1_000_000, x)) l))
+
+let chain_problem rng =
+  let n = 5 + Lcg.int rng 6 in
+  let v i = av (Printf.sprintf "V%d" i) in
+  let steps = List.init (n - 1) (fun i -> v (i + 1) -- v (i + 2)) in
+  let shortcuts =
+    List.filter_map
+      (fun i -> if Lcg.bool rng 0.3 then Some (v i -- v (i + 2)) else None)
+      (List.init (n - 2) (fun i -> i + 1))
+  in
+  (shuffle rng (steps @ shortcuts), v 1 -- v n ++ ac (Lcg.int rng 3 - 1))
+
+let random_problem rng =
+  if Lcg.bool rng 0.3 then chain_problem rng
+  else
+  let vars = [ "A"; "B"; "C"; "K.1"; "N" ] in
+  let facts =
+    List.filter
+      (fun f -> Affine.is_const f = None)
+      (List.init (3 + Lcg.int rng 7) (fun _ ->
+           random_affine rng ~vars ~max_coeff:2))
+  in
+  let query =
+    match facts with
+    | f :: g :: _ when Lcg.bool rng 0.5 ->
+        let ( ** ) = Affine.scale in
+        (((1 + Lcg.int rng 2) ** f) ++ (Lcg.int rng 2 ** g)) ++ ac (Lcg.int rng 5 - 2)
+    | _ -> random_affine rng ~vars ~max_coeff:3
+  in
+  (facts, query)
+
+(* Every pair is asked four ways: without a memo; through one memo
+   shared by the whole run (so later pairs meet earlier answers, and
+   the memo starts over several times); and both again with the facts
+   assumed in reverse order, which must hit the same memo entry. *)
+let memo_matches_oracle () =
+  let rng = Lcg.create 2024 in
+  let memo = Symbolic.create_memo () in
+  let proved = ref 0 and pairs = 2000 in
+  for i = 1 to pairs do
+    let facts, query = random_problem rng in
+    let expected = Symbolic_oracle.prove_nonneg facts query in
+    if expected then incr proved;
+    let what = Printf.sprintf "pair %d: %s >= 0" i (Affine.to_string query) in
+    List.iter
+      (fun (how, base, facts) ->
+        let ctx = List.fold_left Symbolic.assume_nonneg base facts in
+        check_bool (what ^ how) expected (Symbolic.prove_nonneg ctx query))
+      [
+        ("", Symbolic.empty, facts);
+        (" (memo)", Symbolic.with_memo memo Symbolic.empty, facts);
+        (" (reversed)", Symbolic.empty, List.rev facts);
+        (" (reversed, memo)", Symbolic.with_memo memo Symbolic.empty, List.rev facts);
+      ]
+  done;
+  check_bool "both answers occur" true
+    (!proved > pairs / 10 && !proved < pairs * 9 / 10)
+
 let gen_consts =
   QCheck2.Gen.(pair (int_range (-50) 50) (int_range (-50) 50))
 
@@ -133,6 +210,8 @@ let suite =
       case "loop context with MIN bound" of_loop_context_minmax;
       case "composite bounds decompose" composite_bounds;
       case "disjunctive MIN/MAX cases" disjunctive_cases;
+      case "memoized search agrees with the unmemoized oracle"
+        memo_matches_oracle;
       qcase "constants decide exactly" gen_consts (fun (a, b) ->
           let ctx = Symbolic.empty in
           Symbolic.prove_ge ctx (ac a) (ac b) = (a >= b));
