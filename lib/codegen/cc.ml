@@ -226,16 +226,17 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
                                   ("key", Obs.Str key);
                                 ]
                             @@ fun () ->
-                            let c = Filename.concat dir (base ^ ".c") in
-                            let tmp = Filename.concat dir (base ^ ".tmp.so") in
-                            let errf = Filename.concat dir (base ^ ".err") in
-                            write_file c src;
+                            let stem = Jit.scratch_stem dir base in
+                            let tmp_c = stem ^ ".c" and tmp = stem ^ ".so" in
+                            let tmp_vec = stem ^ ".vec" in
+                            let errf = stem ^ ".err" in
+                            write_file tmp_c src;
                             let cmd extra =
                               Printf.sprintf
                                 "%s -std=c99 -O2 -shared -fPIC \
                                  -ffp-contract=off%s -o %s %s -lm 2> %s"
                                 (Filename.quote compiler) extra
-                                (Filename.quote tmp) (Filename.quote c)
+                                (Filename.quote tmp) (Filename.quote tmp_c)
                                 (Filename.quote errf)
                             in
                             incr invocation_count;
@@ -244,27 +245,35 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
                                report; compilers that reject the flag
                                (it is a GCC spelling) get a clean retry
                                without it. *)
-                            (try Sys.remove vecf with Sys_error _ -> ());
                             let rc =
                               match
                                 Sys.command
                                   (cmd
                                      (" -fopt-info-vec="
-                                     ^ Filename.quote vecf))
+                                     ^ Filename.quote tmp_vec))
                               with
                               | 0 -> 0
                               | _ ->
-                                  (try Sys.remove vecf
-                                   with Sys_error _ -> ());
+                                  Jit.remove_quietly [ tmp_vec ];
                                   Sys.command (cmd "")
                             in
-                            if rc <> 0 then
+                            let err = if rc <> 0 then read_file errf else "" in
+                            Jit.remove_quietly [ errf ];
+                            if rc <> 0 then begin
+                              Jit.remove_quietly [ tmp_c; tmp; tmp_vec ];
                               Error
                                 (Printf.sprintf "%s: cc failed (exit %d): %s"
-                                   name rc
-                                   (first_lines (read_file errf)))
+                                   name rc (first_lines err))
+                            end
                             else begin
-                              (try Sys.rename tmp so
+                              (* The report first: a warm load that
+                                 finds the object reads it. *)
+                              (try
+                                 Sys.rename tmp_c (Filename.concat dir (base ^ ".c"));
+                                 if Sys.file_exists tmp_vec then
+                                   Sys.rename tmp_vec vecf
+                                 else Jit.remove_quietly [ vecf ];
+                                 Sys.rename tmp so
                                with Sys_error m -> failwith m);
                               Jit.prune_disk_cache ~keep:[ base ^ ".so" ] ();
                               Ok ()

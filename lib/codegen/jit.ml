@@ -69,6 +69,21 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* Scratch names for one build of [base]: the process id plus a
+   per-process counter, so concurrent builds of one key — threads here,
+   or other processes sharing the cache — never write the same file.
+   The finished files are renamed into place.  Underscores, not dots:
+   the OCaml source's file name is its module name. *)
+let build_counter = Atomic.make 0
+
+let scratch_stem dir base =
+  Filename.concat dir
+    (Printf.sprintf "%s_%d_%d" base (Unix.getpid ())
+       (Atomic.fetch_and_add build_counter 1))
+
+let remove_quietly paths =
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths
+
 let read_file path =
   try
     let ic = open_in_bin path in
@@ -427,25 +442,33 @@ let compile_keyed ?ocamlopt ~name ~key (source : unit -> (string, string) result
                     Obs.span ~cat:"jit" "jit.compile"
                       ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
                     @@ fun () ->
-                    write_file ml source;
-                    let tmp = Filename.concat dir (base ^ ".tmp.cmxs") in
-                    let errf = Filename.concat dir (base ^ ".err") in
+                    let stem = scratch_stem dir base in
+                    let tmp_ml = stem ^ ".ml" and tmp = stem ^ ".cmxs" in
+                    let errf = stem ^ ".err" in
+                    write_file tmp_ml source;
                     let cmd =
                       Printf.sprintf "%s -shared -w -a -o %s %s 2> %s"
                         (Filename.quote compiler) (Filename.quote tmp)
-                        (Filename.quote ml) (Filename.quote errf)
+                        (Filename.quote tmp_ml) (Filename.quote errf)
                     in
                     Mutex.lock mu;
                     incr invocations;
                     Mutex.unlock mu;
                     let rc = Sys.command cmd in
-                    if rc <> 0 then
+                    let err = if rc <> 0 then read_file errf else "" in
+                    remove_quietly
+                      (errf :: List.map (( ^ ) stem) [ ".cmi"; ".cmx"; ".o" ]);
+                    if rc <> 0 then begin
+                      remove_quietly [ tmp_ml; tmp ];
                       Error
                         (Printf.sprintf "%s: ocamlopt failed (exit %d): %s" name
-                           rc
-                           (first_lines (read_file errf)))
+                           rc (first_lines err))
+                    end
                     else begin
-                      (try Sys.rename tmp cmxs with Sys_error m -> failwith m);
+                      (try
+                         Sys.rename tmp_ml ml;
+                         Sys.rename tmp cmxs
+                       with Sys_error m -> failwith m);
                       prune_disk_cache ~keep:[ base ^ ".cmxs" ] ();
                       Ok ()
                     end

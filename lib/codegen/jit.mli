@@ -142,6 +142,16 @@ val prune_disk_cache : keep:string list -> unit -> unit
     after every fresh compile on both backends; exposed for tests.
     No-op when the variable is unset or not a positive integer. *)
 
+val scratch_stem : string -> string -> string
+(** [scratch_stem dir base] is a path prefix in [dir], for one build of
+    artifact [base]'s files, that no other build uses: it adds the
+    process id and a per-process counter.  Builds write there and
+    rename the finished files to [base]'s names, so processes sharing
+    a cache never write each other's files. *)
+
+val remove_quietly : string list -> unit
+(** Remove each file, ignoring ones that are absent. *)
+
 val disk_evictions : unit -> int
 (** Artifacts deleted by {!prune_disk_cache} so far in this process
     (also mirrored to [Obs.Metrics "jit.disk_evictions"]). *)

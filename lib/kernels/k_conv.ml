@@ -32,9 +32,9 @@ let setup env ~bindings ~seed =
   Env.add_farray env "F3" [ (0, n3) ];
   Env.set_fscalar env "DT" 0.01;
   let rng = Lcg.create seed in
-  Env.fill_farray env "F1" (fun _ -> Lcg.float rng 1.0);
-  Env.fill_farray env "F2" (fun _ -> Lcg.float rng 1.0);
-  Env.fill_farray env "F3" (fun _ -> 0.0)
+  (* F3 starts zero, as declared *)
+  Lcg.fill rng (Env.farray_data env "F1") ~lo:0.0 ~hi:1.0;
+  Lcg.fill rng (Env.farray_data env "F2") ~lo:0.0 ~hi:1.0
 
 let make name description loop : Kernel_def.t =
   {

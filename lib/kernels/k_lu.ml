@@ -16,15 +16,16 @@ let point_loop : Stmt.loop =
   | Stmt.Loop l -> l
   | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> assert false
 
+let fill_diag_dominant a ~n rng =
+  Lcg.fill rng a ~lo:(-0.5) ~hi:0.5;
+  for d = 0 to n - 1 do
+    let i = d * (n + 1) in
+    a.(i) <- Stdlib.( +. ) a.(i) (float_of_int n)
+  done
+
 let fill_matrix env ~n ~seed =
   Env.add_farray env "A" [ (1, n); (1, n) ];
-  let rng = Lcg.create seed in
-  Env.fill_farray env "A" (fun idx ->
-      match idx with
-      | [ r; c ] ->
-          let base = Stdlib.( -. ) (Lcg.float rng 1.0) 0.5 in
-          if r = c then Stdlib.( +. ) base (float_of_int n) else base
-      | _ -> assert false)
+  fill_diag_dominant (Env.farray_data env "A") ~n (Lcg.create seed)
 
 let kernel : Kernel_def.t =
   {

@@ -14,6 +14,11 @@ val point_loop : Stmt.loop
 
 val kernel : Kernel_def.t
 
+val fill_diag_dominant : float array -> n:int -> Lcg.t -> unit
+(** [fill_diag_dominant a ~n rng] fills the column-major [n] x [n]
+    storage [a] with draws from [rng] in [-0.5, 0.5), plus [n] on the
+    diagonal. *)
+
 val fill_matrix : Env.t -> n:int -> seed:int -> unit
 (** Declare and fill [A] (1..n, 1..n) with a random diagonally dominant
     matrix so elimination without pivoting is well conditioned. *)

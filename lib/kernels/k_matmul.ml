@@ -22,26 +22,24 @@ let fill env ~n ~freq_pct ~seed =
   Env.add_farray env "B" [ (1, n); (1, n) ];
   Env.add_farray env "C" [ (1, n); (1, n) ];
   let rng = Lcg.create seed in
-  Env.fill_farray env "A" (fun _ -> Lcg.float rng 1.0);
-  Env.fill_farray env "C" (fun _ -> 0.0);
-  (* Column-major fill with run structure along K (the first index). *)
+  Lcg.fill rng (Env.farray_data env "A") ~lo:0.0 ~hi:1.0;
+  let b = Env.farray_data env "B" in
+  (* C and B's zeros are as declared.  Column-major fill with run
+     structure along K (the first index). *)
   let p = Stdlib.( /. ) (float_of_int freq_pct) 100.0 in
   let run_len = 4 in
-  for j = 1 to n do
-    let k = ref 1 in
-    while !k <= n do
+  for j = 0 to n - 1 do
+    let k = ref 0 in
+    while !k < n do
       if Lcg.bool rng (Stdlib.( /. ) p (float_of_int run_len)) then begin
         (* start a run of nonzeros *)
-        let stop = min n (!k + run_len - 1) in
+        let stop = min (n - 1) (!k + run_len - 1) in
         for kk = !k to stop do
-          Env.set_f env "B" [ kk; j ] (Stdlib.( +. ) 0.5 (Lcg.float rng 0.5))
+          b.(kk + (j * n)) <- Stdlib.( +. ) 0.5 (Lcg.float rng 0.5)
         done;
         k := stop + 1
       end
-      else begin
-        Env.set_f env "B" [ !k; j ] 0.0;
-        incr k
-      end
+      else incr k
     done
   done
 

@@ -27,7 +27,9 @@ let errorf ?id fmt =
    dispatch on the worker lane. *)
 type timing = {
   mutable t_compile_ns : int;
+  mutable t_setup_ns : int;
   mutable t_exec_ns : int;
+  mutable t_digest_ns : int;
   mutable t_minor_gcs : int;
   mutable t_major_gcs : int;
   mutable t_promoted_words : int;
@@ -37,7 +39,9 @@ type timing = {
 let new_timing () =
   {
     t_compile_ns = 0;
+    t_setup_ns = 0;
     t_exec_ns = 0;
+    t_digest_ns = 0;
     t_minor_gcs = 0;
     t_major_gcs = 0;
     t_promoted_words = 0;
@@ -189,7 +193,9 @@ let with_telemetry ~trace_hex ~queue_ns ~tm ~total_ns resp =
                 [
                   ("queue_ns", jint queue_ns);
                   ("compile_ns", jint tm.t_compile_ns);
+                  ("setup_ns", jint tm.t_setup_ns);
                   ("exec_ns", jint tm.t_exec_ns);
+                  ("digest_ns", jint tm.t_digest_ns);
                   ("total_ns", jint total_ns);
                   ("minor_gcs", jint tm.t_minor_gcs);
                   ("major_gcs", jint tm.t_major_gcs);
@@ -388,27 +394,27 @@ let digest_env entry env =
   in
   Digest.to_hex (Digest.string (Marshal.to_string arrays []))
 
-let run_one ?tm c ~bindings ~seed =
+(* One execution: input set-up, the native run and the digest, each
+   timed into [tm] ([t_exec_ns] is the run alone). *)
+let run_one tm c ~bindings ~seed =
+  let since t0 = Obs.now_ns () - t0 in
+  let t0 = Obs.now_ns () in
   match env_for c ~bindings ~seed with
   | exception Invalid_argument m -> Error m
   | env -> (
-      let t0 = Unix.gettimeofday () in
-      let finish () =
-        let dt = Unix.gettimeofday () -. t0 in
-        (match tm with
-        | Some tm -> tm.t_exec_ns <- tm.t_exec_ns + int_of_float (dt *. 1e9)
-        | None -> ());
-        dt
-      in
-      match
+      tm.t_setup_ns <- tm.t_setup_ns + since t0;
+      let t0 = Obs.now_ns () in
+      let ran =
         c.c_cm.Backend.bk_run ~bindings:c.c_bp.Blueprint.bindings env
-      with
-      | Error m ->
-          ignore (finish ());
-          Error m
+      in
+      tm.t_exec_ns <- tm.t_exec_ns + since t0;
+      match ran with
+      | Error m -> Error m
       | Ok () ->
-          let dt = finish () in
-          Ok (digest_env c.c_entry env, dt))
+          let t0 = Obs.now_ns () in
+          let digest = digest_env c.c_entry env in
+          tm.t_digest_ns <- tm.t_digest_ns + since t0;
+          Ok digest)
 
 (* ---- per-op handlers -------------------------------------------- *)
 
@@ -495,16 +501,16 @@ let handle_execute ~tm ?id req =
       match compile_variant ~tm ~backend entry variant with
       | Error m -> errorf ?id "%s" m
       | Ok c -> (
-          match run_one ~tm c ~bindings ~seed:(seed_field req) with
+          match run_one tm c ~bindings ~seed:(seed_field req) with
           | Error m -> errorf ?id "%s" m
-          | Ok (digest, run_s) ->
+          | Ok digest ->
               wrap ?id true
                 [
                   ("kernel", jstr entry.Blockability.name);
                   ("variant", jstr (variant_name variant));
                   ("backend", jstr c.c_cm.Backend.bk_tag);
                   ("digest", jstr digest);
-                  ("run_s", J.Number run_s);
+                  ("run_s", J.Number (float_of_int tm.t_exec_ns /. 1e9));
                   ( "disposition",
                     jstr
                       (Jit.disposition_name c.c_cm.Backend.bk_disposition)
@@ -583,13 +589,14 @@ let handle_batch ~exec_pool ~tm ?id req =
                             results.(i) <-
                               (try
                                  let g0 = gc_probe () in
-                                 match run_one c ~bindings:items.(i) ~seed with
+                                 let itm = new_timing () in
+                                 match
+                                   run_one itm c ~bindings:items.(i) ~seed
+                                 with
                                  | Error _ as e -> e
-                                 | Ok (digest, dt) ->
-                                     let g1 = gc_probe () in
-                                     let itm = new_timing () in
-                                     record_gc_delta itm g0 g1;
-                                     Ok (digest, dt, itm)
+                                 | Ok digest ->
+                                     record_gc_delta itm g0 (gc_probe ());
+                                     Ok (digest, itm)
                                with e -> Error (Printexc.to_string e))
                           done)));
               let run_s = Unix.gettimeofday () -. t0 in
@@ -609,12 +616,20 @@ let handle_batch ~exec_pool ~tm ?id req =
                   let oks =
                     Array.to_list results |> List.map Result.get_ok
                   in
-                  let digests = List.map (fun (d, _, _) -> jstr d) oks in
-                  let item_json (digest, dt, itm) =
+                  (* Lanes overlap: these sums are work, not wall. *)
+                  List.iter
+                    (fun (_, itm) ->
+                      tm.t_setup_ns <- tm.t_setup_ns + itm.t_setup_ns;
+                      tm.t_digest_ns <- tm.t_digest_ns + itm.t_digest_ns)
+                    oks;
+                  let digests = List.map (fun (d, _) -> jstr d) oks in
+                  let item_json (digest, itm) =
                     J.Object
                       [
                         ("digest", jstr digest);
-                        ("ns", jint (int_of_float (dt *. 1e9)));
+                        ("ns", jint itm.t_exec_ns);
+                        ("setup_ns", jint itm.t_setup_ns);
+                        ("digest_ns", jint itm.t_digest_ns);
                         ("minor_gcs", jint itm.t_minor_gcs);
                         ("major_gcs", jint itm.t_major_gcs);
                         ("promoted_words", jint itm.t_promoted_words);

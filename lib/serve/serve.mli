@@ -41,8 +41,9 @@
       objects; ["sizes"] is shorthand binding every kernel parameter to
       the given integer.  Replies with one digest per item, in request
       order (results are deterministic: each item runs in its own
-      environment), plus an ["items"] array giving each item's wall
-      time (["ns"]) and GC deltas (["minor_gcs"], ["major_gcs"],
+      environment), plus an ["items"] array giving each item's run
+      wall time (["ns"]), input set-up (["setup_ns"]) and digest
+      (["digest_ns"]) times, and GC deltas (["minor_gcs"], ["major_gcs"],
       ["promoted_words"], ["allocated_words"]) measured on the
       executing lane.
     - [profile {"kernel","bindings","seed"}] — cache-simulate both
@@ -78,8 +79,11 @@
     fan-out connects to the response that triggered it) and a
     ["server"] timing breakdown: ["queue_ns"] (time queued between the
     reader and a worker lane), ["compile_ns"] (blueprint normalize +
-    JIT, ~0 on memo hits), ["exec_ns"] (native run / batch fan-out
-    wall), ["total_ns"] (queue + handling), and the request's GC
+    JIT, ~0 on memo hits), ["setup_ns"] (building the kernel's
+    inputs), ["exec_ns"] (native run / batch fan-out wall),
+    ["digest_ns"] (hashing the result arrays; in a batch, set-up and
+    digest sum the items', which overlap on the pool's lanes),
+    ["total_ns"] (queue + handling), and the request's GC
     deltas captured around handling on the worker lane:
     ["minor_gcs"], ["major_gcs"], ["promoted_words"],
     ["allocated_words"] (collection counts from [Gc.quick_stat], word

@@ -23,3 +23,9 @@ val uniform : t -> float
 
 val bool : t -> float -> bool
 (** [bool t p] is true with probability [p]. *)
+
+val fill : t -> float array -> lo:float -> hi:float -> unit
+(** [fill t a ~lo ~hi] sets every element of [a], first to last, to a
+    draw from [lo, hi): [lo +. float t (hi -. lo)].  That is bitwise
+    [float t (hi -. lo) -. (-. lo)], since IEEE subtraction adds the
+    negation and addition commutes. *)

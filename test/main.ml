@@ -21,4 +21,5 @@ let () =
       Test_fuzz.suite;
       Test_codegen.suite;
       Test_serve.suite;
+      Test_setup.suite;
     ]

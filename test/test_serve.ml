@@ -190,6 +190,8 @@ let suite =
                       | _ -> Alcotest.failf "item field %s missing" k)
                     [
                       "ns";
+                      "setup_ns";
+                      "digest_ns";
                       "minor_gcs";
                       "major_gcs";
                       "promoted_words";
@@ -197,6 +199,53 @@ let suite =
                     ])
                 items ds
           | _ -> Alcotest.fail "no items / digests arrays");
+      case "execute and batch report input set-up and digest time" (fun () ->
+          require_native ();
+          let num k j =
+            match field k j with
+            | Some (Json_min.Number n) -> n
+            | _ -> Alcotest.failf "field %s is not a number" k
+          in
+          let server j =
+            match field "server" j with
+            | Some s -> s
+            | None -> Alcotest.fail "no server timing object"
+          in
+          let line =
+            request
+              {|{"op":"execute","kernel":"cholesky","bindings":{"N":64},"seed":3}|}
+          in
+          (* clients match the block by its leading field *)
+          check_bool "queue_ns leads the server block" true
+            (contains line {|"server":{"queue_ns":|});
+          let r = ok_or_fail "execute parses" (Json_min.parse line) in
+          check_bool "ok" true (bool_field "ok" r);
+          let s = server r in
+          check_bool "setup_ns positive" true (num "setup_ns" s > 0.0);
+          check_bool "digest_ns positive" true (num "digest_ns" s > 0.0);
+          (* set-up and digest sit beside the run, not inside exec_ns *)
+          check_bool "parts within total" true
+            (num "setup_ns" s +. num "exec_ns" s +. num "digest_ns" s
+            <= num "total_ns" s);
+          let r =
+            parsed {|{"op":"batch","kernel":"cholesky","sizes":[32,48,64]}|}
+          in
+          check_bool "batch ok" true (bool_field "ok" r);
+          match field "items" r with
+          | Some (Json_min.Array items) ->
+              let sum k = List.fold_left (fun acc i -> acc +. num k i) 0.0 items in
+              List.iter
+                (fun i ->
+                  check_bool "item setup_ns positive" true (num "setup_ns" i > 0.0);
+                  check_bool "item digest_ns positive" true
+                    (num "digest_ns" i > 0.0))
+                items;
+              let s = server r in
+              check_bool "server setup_ns sums the items" true
+                (num "setup_ns" s = sum "setup_ns");
+              check_bool "server digest_ns sums the items" true
+                (num "digest_ns" s = sum "digest_ns")
+          | _ -> Alcotest.fail "no items array");
       case "empty and malformed batches are rejected" (fun () ->
           let r = parsed {|{"op":"batch","kernel":"lu","sizes":[]}|} in
           check_bool "empty rejected" false (bool_field "ok" r);
@@ -223,7 +272,9 @@ let suite =
                 [
                   "queue_ns";
                   "compile_ns";
+                  "setup_ns";
                   "exec_ns";
+                  "digest_ns";
                   "total_ns";
                   "minor_gcs";
                   "major_gcs";
