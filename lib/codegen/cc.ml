@@ -4,10 +4,11 @@
    on the {!Emit_c} output, then [dlopen] through the cc_stubs shim.
    Objects live in the same content-addressed cache as the OCaml
    plugins ([Jit.cache_dir]), keyed by blueprint digest x backend tag
-   x [cc --version], so a toolchain upgrade invalidates exactly the C
-   half of the cache.  [-ffp-contract=off] is load-bearing: it is what
-   makes the object bitwise-comparable with the interpreter and the
-   OCaml plugin (no FMA contraction of a*b+c). *)
+   x [cc --version] x [Emit_c.revision], so a toolchain upgrade or a
+   changed C emitter invalidates exactly the C half of the cache.
+   [-ffp-contract=off] is load-bearing: it is what makes the object
+   bitwise-comparable with the interpreter and the OCaml plugin (no FMA
+   contraction of a*b+c). *)
 
 external cc_load : string -> nativeint = "blockc_cc_load"
 
@@ -93,9 +94,11 @@ let invocation_counter =
 
 (* One coarse lock around compile-or-fetch: the C backend has no
    serve-style concurrent-compile workload yet, so single-flighting per
-   key is not worth the machinery Jit needs. *)
+   key is not worth the machinery Jit needs.  A memo entry keeps the
+   vectorizer remarks read when the object was loaded, so a hit touches
+   neither the disk nor the block. *)
 let mu = Mutex.create ()
-let memo : (string, fn) Hashtbl.t = Hashtbl.create 16
+let memo : (string, fn * string list) Hashtbl.t = Hashtbl.create 16
 
 let invocations () =
   Mutex.lock mu;
@@ -145,163 +148,124 @@ let rec mkdirs p =
     try Sys.mkdir p 0o755 with Sys_error _ -> ()
   end
 
+(* Produce [so] (unless a cached object is already there) and load it.
+   Caller holds [mu]. *)
+let build ~compiler ~name ~key ~so ~vecf (bp : Blueprint.t) mf =
+  let dir = Filename.dirname so in
+  let base = Filename.remove_extension (Filename.basename so) in
+  mkdirs dir;
+  let on_disk = Sys.file_exists so in
+  let t0 = Unix.gettimeofday () in
+  let built =
+    if on_disk then Ok ()
+    else
+      match
+        Emit_c.source ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
+          ~name bp.Blueprint.block
+      with
+      | Error _ as e -> e
+      | Ok src ->
+          Obs.span ~cat:"jit" "cc.compile"
+            ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
+          @@ fun () ->
+          let stem = Jit.scratch_stem dir base in
+          let tmp_c = stem ^ ".c" and tmp = stem ^ ".so" in
+          let tmp_vec = stem ^ ".vec" in
+          let errf = stem ^ ".err" in
+          write_file tmp_c src;
+          let cmd extra =
+            Printf.sprintf
+              "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off%s -o %s %s -lm \
+               2> %s"
+              (Filename.quote compiler) extra (Filename.quote tmp)
+              (Filename.quote tmp_c) (Filename.quote errf)
+          in
+          incr invocation_count;
+          Obs.Metrics.incr (Lazy.force invocation_counter);
+          (* First attempt asks for the vectorization report; compilers
+             that reject the flag (it is a GCC spelling) get a clean
+             retry without it. *)
+          let rc =
+            match
+              Sys.command (cmd (" -fopt-info-vec=" ^ Filename.quote tmp_vec))
+            with
+            | 0 -> 0
+            | _ ->
+                Jit.remove_quietly [ tmp_vec ];
+                Sys.command (cmd "")
+          in
+          let err = if rc <> 0 then read_file errf else "" in
+          Jit.remove_quietly [ errf ];
+          if rc <> 0 then begin
+            Jit.remove_quietly [ tmp_c; tmp; tmp_vec ];
+            Error
+              (Printf.sprintf "%s: cc failed (exit %d): %s" name rc
+                 (first_lines err))
+          end
+          else begin
+            (* The report first: a process that finds the object reads
+               it. *)
+            (try
+               Sys.rename tmp_c (Filename.concat dir (base ^ ".c"));
+               if Sys.file_exists tmp_vec then Sys.rename tmp_vec vecf
+               else Jit.remove_quietly [ vecf ];
+               Sys.rename tmp so
+             with Sys_error m -> failwith m);
+            Jit.prune_disk_cache ~keep:[ base ^ ".so" ] ();
+            Ok ()
+          end
+  in
+  let compile_s = Unix.gettimeofday () -. t0 in
+  match built with
+  | Error _ as e -> e
+  | Ok () -> (
+      match cc_load so with
+      | entry ->
+          let loaded = ({ entry; mf }, vec_remarks_of vecf) in
+          Hashtbl.replace memo key loaded;
+          Ok (loaded, (if on_disk then Jit.Disk else Jit.Compiled), compile_s)
+      | exception Failure m ->
+          Error (Printf.sprintf "%s: dlopen failed: %s" name m))
+
 let compile_blueprint ?cc ~name (bp : Blueprint.t) =
   Obs.span ~cat:"jit" "cc.compile_blueprint"
     ~args:[ ("kernel", Obs.Str name) ]
   @@ fun () ->
-  let compiler =
-    match cc with
-    | Some c -> Some c
-    | None -> find_cc ()
-  in
+  let compiler = match cc with Some c -> Some c | None -> find_cc () in
   match compiler with
   | None -> Error "cc not found on PATH (set BLOCKC_CC)"
-  | Some compiler -> (
-      match Emit_c.manifest bp.Blueprint.block with
-      | Error m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
-      | Ok mf -> (
-          let key =
-            Digest.to_hex
-              (Digest.string
-                 (cc_version compiler ^ "\x00c-backend\x00" ^ bp.Blueprint.key))
-          in
-          Mutex.lock mu;
-          let memoized = Hashtbl.find_opt memo key in
-          Mutex.unlock mu;
-          let dir = Jit.cache_dir () in
-          let base = "bk_" ^ key in
-          let so = Filename.concat dir (base ^ ".so") in
-          let vecf = Filename.concat dir (base ^ ".vec") in
-          match memoized with
-          | Some fn ->
-              Ok
-                {
-                  key;
-                  so;
-                  cached = true;
-                  disposition = Jit.Memo;
-                  compile_s = 0.0;
-                  vec_remarks = vec_remarks_of vecf;
-                  fn;
-                }
-          | None ->
-              Mutex.lock mu;
-              let finish r =
-                Mutex.unlock mu;
-                r
-              in
-              (* Re-probe under the lock: another thread may have
-                 loaded it while we waited. *)
-              finish
-                (match Hashtbl.find_opt memo key with
-                | Some fn ->
-                    Ok
-                      {
-                        key;
-                        so;
-                        cached = true;
-                        disposition = Jit.Memo;
-                        compile_s = 0.0;
-                        vec_remarks = vec_remarks_of vecf;
-                        fn;
-                      }
-                | None -> (
-                    mkdirs dir;
-                    let on_disk = Sys.file_exists so in
-                    let t0 = Unix.gettimeofday () in
-                    let built =
-                      if on_disk then Ok ()
-                      else
-                        match
-                          Emit_c.source ~unsafe:bp.Blueprint.unsafe
-                            ~shapes:bp.Blueprint.shapes ~name
-                            bp.Blueprint.block
-                        with
-                        | Error _ as e -> e
-                        | Ok src ->
-                            Obs.span ~cat:"jit" "cc.compile"
-                              ~args:
-                                [
-                                  ("kernel", Obs.Str name);
-                                  ("key", Obs.Str key);
-                                ]
-                            @@ fun () ->
-                            let stem = Jit.scratch_stem dir base in
-                            let tmp_c = stem ^ ".c" and tmp = stem ^ ".so" in
-                            let tmp_vec = stem ^ ".vec" in
-                            let errf = stem ^ ".err" in
-                            write_file tmp_c src;
-                            let cmd extra =
-                              Printf.sprintf
-                                "%s -std=c99 -O2 -shared -fPIC \
-                                 -ffp-contract=off%s -o %s %s -lm 2> %s"
-                                (Filename.quote compiler) extra
-                                (Filename.quote tmp) (Filename.quote tmp_c)
-                                (Filename.quote errf)
-                            in
-                            incr invocation_count;
-                            Obs.Metrics.incr (Lazy.force invocation_counter);
-                            (* First attempt asks for the vectorization
-                               report; compilers that reject the flag
-                               (it is a GCC spelling) get a clean retry
-                               without it. *)
-                            let rc =
-                              match
-                                Sys.command
-                                  (cmd
-                                     (" -fopt-info-vec="
-                                     ^ Filename.quote tmp_vec))
-                              with
-                              | 0 -> 0
-                              | _ ->
-                                  Jit.remove_quietly [ tmp_vec ];
-                                  Sys.command (cmd "")
-                            in
-                            let err = if rc <> 0 then read_file errf else "" in
-                            Jit.remove_quietly [ errf ];
-                            if rc <> 0 then begin
-                              Jit.remove_quietly [ tmp_c; tmp; tmp_vec ];
-                              Error
-                                (Printf.sprintf "%s: cc failed (exit %d): %s"
-                                   name rc (first_lines err))
-                            end
-                            else begin
-                              (* The report first: a warm load that
-                                 finds the object reads it. *)
-                              (try
-                                 Sys.rename tmp_c (Filename.concat dir (base ^ ".c"));
-                                 if Sys.file_exists tmp_vec then
-                                   Sys.rename tmp_vec vecf
-                                 else Jit.remove_quietly [ vecf ];
-                                 Sys.rename tmp so
-                               with Sys_error m -> failwith m);
-                              Jit.prune_disk_cache ~keep:[ base ^ ".so" ] ();
-                              Ok ()
-                            end
-                    in
-                    let compile_s = Unix.gettimeofday () -. t0 in
-                    match built with
-                    | Error _ as e -> e
-                    | Ok () -> (
-                        match cc_load so with
-                        | entry ->
-                            let fn = { entry; mf } in
-                            Hashtbl.replace memo key fn;
-                            Ok
-                              {
-                                key;
-                                so;
-                                cached = on_disk;
-                                disposition =
-                                  (if on_disk then Jit.Disk else Jit.Compiled);
-                                compile_s;
-                                vec_remarks = vec_remarks_of vecf;
-                                fn;
-                              }
-                        | exception Failure m ->
-                            Error
-                              (Printf.sprintf "%s: dlopen failed: %s" name m)))))
-      )
+  | Some compiler ->
+      let key =
+        Digest.to_hex
+          (Digest.string
+             (Printf.sprintf "%s\x00c-backend\x00emit-%d\x00%s"
+                (cc_version compiler) Emit_c.revision bp.Blueprint.key))
+      in
+      let dir = Jit.cache_dir () in
+      let so = Filename.concat dir ("bk_" ^ key ^ ".so") in
+      let vecf = Filename.concat dir ("bk_" ^ key ^ ".vec") in
+      let result =
+        Mutex.protect mu (fun () ->
+            match Hashtbl.find_opt memo key with
+            | Some hit -> Ok (hit, Jit.Memo, 0.0)
+            | None -> (
+                match Emit_c.manifest bp.Blueprint.block with
+                | Error m ->
+                    Error (Printf.sprintf "cannot compile %s: %s" name m)
+                | Ok mf -> build ~compiler ~name ~key ~so ~vecf bp mf))
+      in
+      Result.map
+        (fun ((fn, vec_remarks), disposition, compile_s) ->
+          {
+            key;
+            so;
+            cached = disposition <> Jit.Compiled;
+            disposition;
+            compile_s;
+            vec_remarks;
+            fn;
+          })
+        result
 
 (* ---- execution --------------------------------------------------- *)
 

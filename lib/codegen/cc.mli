@@ -5,9 +5,10 @@
     on the emitted C, then [dlopen] through a small stub.  Objects
     share the OCaml plugins' content-addressed cache
     ([Jit.cache_dir], [bk_<key>.so] next to [bk_<key>.cmxs]); the key
-    is the blueprint digest combined with the backend tag and the
-    first line of [cc --version], so switching compilers invalidates
-    exactly the C half of the cache.  The same
+    is the blueprint digest combined with the backend tag, the first
+    line of [cc --version] and {!Emit_c.revision}, so switching
+    compilers or changing the C emitter invalidates exactly the C half
+    of the cache.  The same
     [BLOCKC_JIT_DISK_CAP] pruning applies after each fresh compile.
 
     Execution marshals an {!Env.t} onto the fixed kernel ABI per the
@@ -28,9 +29,10 @@ type loaded = {
   compile_s : float;
   vec_remarks : string list;
       (** the compiler's vectorization remarks ([-fopt-info-vec]),
-          persisted as [bk_<key>.vec] beside the object so cache hits
-          still report them; [] when the flag is unsupported or no
-          loop vectorized *)
+          persisted as [bk_<key>.vec] beside the object so disk hits
+          still report them, and kept in the in-process memo so memo
+          hits do not re-read it; [] when the flag is unsupported or
+          no loop vectorized *)
   fn : fn;
 }
 

@@ -10,6 +10,9 @@
 module SS = Set.Make (String)
 module SM = Map.Make (String)
 
+(* 2: loop-invariant offset sums hoisted ahead of each loop. *)
+let revision = 2
+
 type shapes = (string * (Expr.t * Expr.t) list) list
 
 let low = String.lowercase_ascii
@@ -212,12 +215,18 @@ let base_ctx ~tainted ~shapes blk =
 
 (* ---- rendering ---------------------------------------------------- *)
 
+(* The innermost loop being rendered: its index, and the offset sums
+   hoisted in front of its [for] (newest first, deduplicated by text). *)
+type frame = { index : string; mutable hoisted : (string * string) list }
+
 type st = {
   d : decls;
   shapes : shapes;
   unsafe : bool;
   tainted : SS.t; (* INTEGER scalars the block assigns *)
-  body : Buffer.t;
+  mutable body : Buffer.t;
+  mutable frame : frame option;
+  mutable hoists : int; (* names handed out so far *)
   mutable proved : SS.t; (* arrays with at least one unchecked access *)
   mutable assumed : SS.t; (* parameters whose positivity a proof used *)
 }
@@ -242,20 +251,63 @@ let float_lit x =
     if s.[0] = '-' then "(" ^ s ^ ")" else s
   end
 
-(* Flat column-major offset of [subs] into array [name]; [dp] is the
-   mangled-name prefix pair (data, dims/lows/strides) for the space. *)
-let flat_index pe ~ipfx name subs =
+(* A subscript that may be evaluated once before the innermost loop's
+   [for] instead of on every iteration: it does not mention that loop's
+   index, and it cannot raise or go stale — no division (a zero-trip
+   loop must not raise Division_by_zero), no INTEGER-array read
+   (inspector tables are written at run time), no scalar the block
+   assigns. *)
+let rec invariant st ~index (e : Expr.t) =
+  match e with
+  | Expr.Int _ -> true
+  | Expr.Var v -> v <> index && not (SS.mem v st.tainted)
+  | Expr.Bin (Expr.Div, _, _) | Expr.Idx _ -> false
+  | Expr.Bin (_, a, b) | Expr.Min (a, b) | Expr.Max (a, b) ->
+      invariant st ~index a && invariant st ~index b
+
+(* Flat column-major offset of [subs] into array [name]:
+   [(s0 - l0) + ((s1 - l1) * t1) + ...]; [ipfx] is the mangled-name
+   prefix of the array's lows and strides.  Inside a loop, the
+   dimension terms that are invariant in it, plus the [- l0], are
+   summed once into a name bound before the loop's [for], and the
+   access adds the remaining terms to that name.  Only integer
+   arithmetic moves, and [int] is modular, so the offset is the same. *)
+let flat_index st pe ~ipfx name subs =
   let nm = low name in
-  let terms =
-    List.mapi
-      (fun k sub ->
-        if k = 0 then Printf.sprintf "(%s - %sl0_%s)" (pe sub) ipfx nm
-        else
-          Printf.sprintf "((%s - %sl%d_%s) * %st%d_%s)" (pe sub) ipfx k nm ipfx
-            k nm)
-      subs
+  let term k sub =
+    if k = 0 then Printf.sprintf "(%s - %sl0_%s)" (pe sub) ipfx nm
+    else
+      Printf.sprintf "((%s - %sl%d_%s) * %st%d_%s)" (pe sub) ipfx k nm ipfx k
+        nm
   in
-  match terms with [ t ] -> t | _ -> "(" ^ String.concat " + " terms ^ ")"
+  let sum = function [ t ] -> t | ts -> "(" ^ String.concat " + " ts ^ ")" in
+  let parts = List.mapi (fun k sub -> (k, sub)) subs in
+  let fixed, varying =
+    match st.frame with
+    | None -> ([], parts)
+    | Some fr ->
+        List.partition (fun (_, s) -> invariant st ~index:fr.index s) parts
+  in
+  match (st.frame, fixed) with
+  | None, _ | _, [] -> sum (List.map (fun (k, s) -> term k s) parts)
+  | Some fr, _ ->
+      let fixed_sum =
+        String.concat " + " (List.map (fun (k, s) -> term k s) fixed)
+        ^
+        if List.mem_assoc 0 fixed then ""
+        else Printf.sprintf " - %sl0_%s" ipfx nm
+      in
+      let o =
+        match List.assoc_opt fixed_sum fr.hoisted with
+        | Some o -> o
+        | None ->
+            st.hoists <- st.hoists + 1;
+            let o = Printf.sprintf "o%d_%s" st.hoists nm in
+            fr.hoisted <- (fixed_sum, o) :: fr.hoisted;
+            o
+      in
+      let var (k, s) = if k = 0 then pe s else term k s in
+      sum (List.map var varying @ [ o ])
 
 let in_bounds st ctx name subs =
   st.unsafe
@@ -293,7 +345,7 @@ let rec pe st scope ctx (e : Expr.t) =
   | Expr.Max (a, b) ->
       Printf.sprintf "(imax %s %s)" (pe st scope ctx a) (pe st scope ctx b)
   | Expr.Idx (name, subs) ->
-      let idx = flat_index (pe st scope ctx) ~ipfx:"i" name subs in
+      let idx = flat_index st (pe st scope ctx) ~ipfx:"i" name subs in
       if in_bounds st ctx name subs then
         Printf.sprintf "(Array.unsafe_get ia_%s %s)" (low name) idx
       else Printf.sprintf "ia_%s.(%s)" (low name) idx
@@ -303,7 +355,7 @@ let rec pf st scope ctx (fe : Stmt.fexpr) =
   | Stmt.Fconst x -> float_lit x
   | Stmt.Fvar v -> "!f_" ^ low v
   | Stmt.Ref (name, subs) ->
-      let idx = flat_index (pe st scope ctx) ~ipfx:"" name subs in
+      let idx = flat_index st (pe st scope ctx) ~ipfx:"" name subs in
       if in_bounds st ctx name subs then
         Printf.sprintf "(Array.unsafe_get a_%s %s)" (low name) idx
       else Printf.sprintf "a_%s.(%s)" (low name) idx
@@ -356,7 +408,7 @@ let rec stmt st scope ctx ind (s : Stmt.t) =
       line st ind "f_%s := %s;" (low name) (pf st scope ctx rhs)
   | Stmt.Assign (name, subs, rhs) ->
       let rhs = pf st scope ctx rhs in
-      let idx = flat_index (pe st scope ctx) ~ipfx:"" name subs in
+      let idx = flat_index st (pe st scope ctx) ~ipfx:"" name subs in
       if in_bounds st ctx name subs then
         line st ind "Array.unsafe_set a_%s %s %s;" (low name) idx rhs
       else line st ind "a_%s.(%s) <- %s;" (low name) idx rhs
@@ -364,7 +416,7 @@ let rec stmt st scope ctx ind (s : Stmt.t) =
       line st ind "s_%s := %s;" (low name) (pe st scope ctx rhs)
   | Stmt.Iassign (name, subs, rhs) ->
       let rhs = pe st scope ctx rhs in
-      let idx = flat_index (pe st scope ctx) ~ipfx:"i" name subs in
+      let idx = flat_index st (pe st scope ctx) ~ipfx:"i" name subs in
       if in_bounds st ctx name subs then
         line st ind "Array.unsafe_set ia_%s %s %s;" (low name) idx rhs
       else line st ind "ia_%s.(%s) <- %s;" (low name) idx rhs
@@ -389,23 +441,34 @@ let rec stmt st scope ctx ind (s : Stmt.t) =
       in
       line st ind "let lo_%s = %s in" ix (pe st scope ctx l.lo);
       line st ind "let hi_%s = %s in" ix (pe st scope ctx l.hi);
-      (match l.step with
-      | Expr.Int 1 ->
-          line st ind "for i_%s = lo_%s to hi_%s do" ix ix ix;
-          block st inner_scope ctx' (ind + 1) l.body;
-          line st ind "done;"
-      | step ->
-          line st ind "let st_%s = %s in" ix (pe st scope ctx step);
-          line st ind "if st_%s = 0 then failwith \"DO %s: zero step\";" ix
-            l.index;
-          line st ind "let n_%s = (hi_%s - lo_%s + st_%s) / st_%s in" ix ix ix
-            ix ix;
-          line st ind "let r_%s = ref lo_%s in" ix ix;
-          line st ind "for _ = 1 to n_%s do" ix;
-          line st (ind + 1) "let i_%s = !r_%s in" ix ix;
-          block st inner_scope ctx' (ind + 1) l.body;
-          line st (ind + 1) "r_%s := i_%s + st_%s;" ix ix ix;
-          line st ind "done;")
+      let step_one = l.step = Expr.Int 1 in
+      if not step_one then begin
+        line st ind "let st_%s = %s in" ix (pe st scope ctx l.step);
+        line st ind "if st_%s = 0 then failwith \"DO %s: zero step\";" ix
+          l.index;
+        line st ind "let n_%s = (hi_%s - lo_%s + st_%s) / st_%s in" ix ix ix
+          ix ix;
+        line st ind "let r_%s = ref lo_%s in" ix ix
+      end;
+      (* The body goes to its own buffer first: the offsets it hoists
+         are bound ahead of the [for]. *)
+      let outer_body = st.body and outer_frame = st.frame in
+      let fr = { index = l.index; hoisted = [] } in
+      st.body <- Buffer.create 1024;
+      st.frame <- Some fr;
+      if not step_one then line st (ind + 1) "let i_%s = !r_%s in" ix ix;
+      block st inner_scope ctx' (ind + 1) l.body;
+      if not step_one then line st (ind + 1) "r_%s := i_%s + st_%s;" ix ix ix;
+      let body = st.body in
+      st.body <- outer_body;
+      st.frame <- outer_frame;
+      List.iter
+        (fun (sum, o) -> line st ind "let %s = %s in" o sum)
+        (List.rev fr.hoisted);
+      if step_one then line st ind "for i_%s = lo_%s to hi_%s do" ix ix ix
+      else line st ind "for _ = 1 to n_%s do" ix;
+      Buffer.add_buffer st.body body;
+      line st ind "done;"
 
 and block st scope ctx ind = function
   | [] -> line st ind "();"
@@ -437,6 +500,8 @@ let source ?(unsafe = true) ?(shapes = []) ~name blk =
           unsafe;
           tainted = d.isc_w;
           body = Buffer.create 4096;
+          frame = None;
+          hoists = 0;
           proved = SS.empty;
           assumed = SS.empty;
         }

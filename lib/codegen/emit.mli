@@ -26,6 +26,11 @@
     exception during [Dynlink] loading and extracts the closure, so no
     interface files are shared between host and plugin. *)
 
+val revision : int
+(** The emitter's revision, raised whenever the text it emits for an
+    unchanged block changes.  {!Jit} folds it into the artifact key, so
+    a cache filled by an older emitter is never loaded. *)
+
 type shapes = (string * (Expr.t * Expr.t) list) list
 (** Per-array inclusive [(lo, hi)] bounds for each dimension, as integer
     expressions over the kernel's symbolic parameters. *)

@@ -23,6 +23,8 @@
 module SS = Emit.SS
 module SM = Emit.SM
 
+let revision = 1
+
 type shapes = Emit.shapes
 
 (* The host-side marshaling contract: which Env names go into the

@@ -32,6 +32,10 @@
     for comparisons, and C99's truncating integer division matching
     OCaml's. *)
 
+val revision : int
+(** The C emitter's revision, raised whenever the text it emits for an
+    unchanged block changes; {!Cc} folds it into the artifact key. *)
+
 type shapes = Emit.shapes
 
 type manifest = {

@@ -515,7 +515,9 @@ let compile ?ocamlopt ~name source =
 let compile_blueprint ?ocamlopt ~name (bp : Blueprint.t) =
   let key =
     Digest.to_hex
-      (Digest.string (Sys.ocaml_version ^ "\x00blueprint\x00" ^ bp.Blueprint.key))
+      (Digest.string
+         (Printf.sprintf "%s\x00blueprint\x00emit-%d\x00%s" Sys.ocaml_version
+            Emit.revision bp.Blueprint.key))
   in
   let source () =
     emit ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes

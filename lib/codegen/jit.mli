@@ -9,11 +9,12 @@
     constructor's name.
 
     Compiled plugins are cached on disk under [_build/.jitcache]
-    (override with [BLOCKC_JIT_CACHE]).  The cache key is the
-    {!Blueprint} digest xor the compiler version for the
+    (override with [BLOCKC_JIT_CACHE]).  The cache key digests the
+    {!Blueprint} key, the compiler version and {!Emit.revision} for the
     {!compile_blueprint} path — so one loop structure is one artifact
-    no matter how many problem sizes it runs at — and the raw source
-    digest for the legacy {!compile} path.  An in-process memo avoids
+    no matter how many problem sizes it runs at, and a changed emitter
+    never loads an old plugin — and the raw source for the legacy
+    {!compile} path.  An in-process memo avoids
     even the [Dynlink] load on repeat requests; it is LRU-bounded
     ([BLOCKC_JIT_MEMO_CAP], default 64) so a long-running daemon cannot
     grow without limit, with evictions counted in
@@ -71,7 +72,7 @@ val compile : ?ocamlopt:string -> name:string -> string -> (loaded, string) resu
 val compile_blueprint :
   ?ocamlopt:string -> name:string -> Blueprint.t -> (loaded, string) result
 (** Compile (or fetch) the plugin for a normalized blueprint, keyed by
-    [Blueprint.key] xor the compiler version.  Emission only happens on
+    [Blueprint.key], the compiler version and {!Emit.revision}.  Emission only happens on
     a cache miss: the warm path is a hash lookup.  Run the result with
     {!run}[ ~bindings:bp.Blueprint.bindings]. *)
 

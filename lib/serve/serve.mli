@@ -138,6 +138,11 @@ val handle_line : ?queue_ns:int -> exec_pool:Pool.t -> string -> string * bool
     newline).  Malformed JSON yields an ["ok":false] response, never an
     exception. *)
 
+val digest_env : Blockability.entry -> Env.t -> string
+(** The digest every execute and batch item reports: the hex MD5 of
+    the entry's traced REAL arrays as [Marshal.to_string] renders the
+    [(name, data)] list. *)
+
 val derivations : string -> int
 (** How many times this process's server has derived the named
     kernel: at most once, however many [derive],

@@ -23,14 +23,22 @@ let require_cc () =
   | Error m -> Alcotest.failf "C backend unavailable: %s" m
 
 (* A private cache dir makes the first compile a real compiler run even
-   if an earlier test run left artifacts on disk. *)
+   if an earlier test run left artifacts on disk.  It holds only files,
+   and is removed afterwards. *)
 let with_private_cache f =
   let saved = Jit.cache_dir () in
   let tmp = Filename.temp_file "blockc-cache-test" "" in
   Sys.remove tmp;
   Unix.mkdir tmp 0o700;
   Unix.putenv "BLOCKC_JIT_CACHE" tmp;
-  Fun.protect ~finally:(fun () -> Unix.putenv "BLOCKC_JIT_CACHE" saved) f
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "BLOCKC_JIT_CACHE" saved;
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat tmp n))
+        (Sys.readdir tmp);
+      Sys.rmdir tmp)
+    f
 
 (* Fresh kernel-shaped environments for hand-rolled blocks. *)
 let simple_env ~n =
@@ -43,6 +51,41 @@ let simple_env ~n =
 
 let emit_ok ?unsafe ?shapes ~name block =
   ok_or_fail "emit" (Emit.source ?unsafe ?shapes ~name block)
+
+(* The block through the interpreter and through [backend]'s compiled
+   blueprint, from two environments [make_env] builds alike; the [only]
+   arrays must agree bitwise. *)
+let native_matches_interp ?shapes ~only ~backend ~what ~make_env block =
+  let env_i = make_env () in
+  Exec.run env_i block;
+  let env_n = make_env () in
+  let bp = Blueprint.of_block ?shapes block in
+  let module Bk = (val backend : Backend.S) in
+  let what = Printf.sprintf "%s (%s)" what Bk.tag in
+  let cm = ok_or_fail what (Bk.compile_blueprint ~name:"probe" bp) in
+  ok_or_fail what (cm.Backend.bk_run ~bindings:bp.Blueprint.bindings env_n);
+  match Env.diff ~only env_i env_n with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: %s" what m
+
+(* The [let o<n>_<array> = ...] lines: offset sums hoisted ahead of a
+   loop. *)
+let hoisted_lines src =
+  List.filter
+    (fun l -> contains l "let o")
+    (String.split_on_char '\n' src)
+
+(* Each registry kernel at two sizes: every extent a multiple of 8 (the
+   block size KS, and of the unroll factor 4), and every extent 5 past
+   that. *)
+let registry_sizes (e : Blockability.entry) =
+  let scale f =
+    List.map
+      (fun (k, v) -> if k = "FREQ_PCT" then (k, v) else (k, f v))
+      e.Blockability.default_bindings
+  in
+  let up8 v = 8 * ((v + 7) / 8) in
+  [ scale up8; scale (fun v -> up8 v + 5) ]
 
 let suite =
   ( "codegen",
@@ -456,4 +499,196 @@ let suite =
                     (Jit.disk_evictions () - e0 >= 1);
                   check_bool "survivor is the newest" true
                     (Sys.file_exists l2.Jit.cmxs))));
+      case "a hoisted offset never divides ahead of a zero-trip loop"
+        (fun () ->
+          require_native ();
+          (* DO J = 1, Z with Z = 0: the N / Z subscript is invariant in
+             J, but hoisting it would raise Division_by_zero where the
+             interpreter runs no iteration. *)
+          let block =
+            [
+              B.do_ "I" (B.i 1) (B.v "N")
+                [
+                  B.do_ "J" (B.i 1) (B.v "Z")
+                    [
+                      B.set2 "A" (B.v "J")
+                        (Expr.div (B.v "N") (B.v "Z"))
+                        (B.fc 1.0);
+                    ];
+                  B.set2 "A" (B.v "I") (B.v "I")
+                    B.(a2 "A" (v "I") (v "I") +. fc 1.0);
+                ];
+            ]
+          in
+          let src = emit_ok ~name:"zero_trip_div" block in
+          check_bool "the division stays in the loop" true
+            (List.for_all (fun l -> not (contains l "/")) (hoisted_lines src));
+          native_matches_interp ~only:[ "A" ] ~backend:(module Backend.Ocaml)
+            ~what:"zero-trip division"
+            ~make_env:(fun () ->
+              let env = simple_env ~n:6 in
+              Env.set_iscalar env "Z" 0;
+              env)
+            block);
+      case "a subscript reading a scalar the loop assigns is not hoisted"
+        (fun () ->
+          require_native ();
+          (* M changes every iteration of the I loop that reads A(I, M);
+             a copy of (M - l1) * t1 taken before the loop would be
+             stale. *)
+          let block =
+            [
+              B.do_ "J" (B.i 1) (B.v "N")
+                [
+                  B.do_ "I" (B.i 1) (B.v "N")
+                    [
+                      B.seti "M" B.(v "N" +! i 1 -! v "I");
+                      B.set2 "A" (B.v "I") (B.v "J")
+                        B.(a2 "A" (v "I") (v "J") +. a2 "A" (v "J") (v "M"));
+                    ];
+                ];
+            ]
+          in
+          let src = emit_ok ~name:"assigned_scalar" block in
+          check_bool "M is read in the loop" true
+            (List.for_all
+               (fun l -> not (contains l "s_m"))
+               (hoisted_lines src));
+          check_bool "the J column offset is hoisted" true
+            (List.exists
+               (fun l -> contains l "((i_j - l1_a) * t1_a) - l0_a in")
+               (hoisted_lines src));
+          List.iter
+            (fun backend ->
+              native_matches_interp ~only:[ "A" ] ~backend
+                ~what:"assigned scalar"
+                ~make_env:(fun () -> simple_env ~n:7)
+                block)
+            Backend.all);
+      case
+        "every registry kernel, point and transformed, runs bitwise on \
+         both backends at two sizes"
+        (fun () ->
+          require_native ();
+          require_cc ();
+          List.iter
+            (fun (e : Blockability.entry) ->
+              let kernel = e.Blockability.kernel in
+              let variants =
+                ("point", kernel.Kernel_def.block, [])
+                ::
+                (match Blockability.derive e with
+                | Error _ -> [] (* householder: expected negative result *)
+                | Ok { result; _ } ->
+                    [
+                      ( "transformed",
+                        [ result ],
+                        e.Blockability.extra_bindings );
+                    ])
+              in
+              List.iter
+                (fun (variant, block, extra) ->
+                  List.iter
+                    (fun bindings ->
+                      let bindings = extra @ bindings in
+                      let what =
+                        Printf.sprintf "%s %s at %s" e.Blockability.name
+                          variant
+                          (String.concat ","
+                             (List.map
+                                (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+                                bindings))
+                      in
+                      let make_env () =
+                        let env =
+                          Kernel_def.make_env kernel ~bindings ~seed:3
+                        in
+                        e.Blockability.extra_setup env ~bindings;
+                        env
+                      in
+                      List.iter
+                        (fun backend ->
+                          native_matches_interp
+                            ~shapes:kernel.Kernel_def.shapes
+                            ~only:kernel.Kernel_def.traced ~backend ~what
+                            ~make_env block)
+                        Backend.all)
+                    (registry_sizes e))
+                variants)
+            Blockability.entries);
+      case "an artifact built under the previous cache key is not loaded"
+        (fun () ->
+          require_native ();
+          require_cc ();
+          with_private_cache (fun () ->
+              (* A valid plugin and object, each planted under the key
+                 the blueprint had before the emitter revision entered
+                 it: both must be rebuilt, not loaded. *)
+              let probe c =
+                Blueprint.of_block [ Stmt.Assign ("S", [], B.fc c) ]
+              in
+              let donor = probe 11.0625 and bp = probe 12.0625 in
+              let jd =
+                ok_or_fail "donor" (Jit.compile_blueprint ~name:"donor" donor)
+              in
+              let cd =
+                ok_or_fail "donor" (Cc.compile_blueprint ~name:"donor" donor)
+              in
+              let copy src dst =
+                let oc = open_out_bin dst in
+                output_string oc
+                  (In_channel.with_open_bin src In_channel.input_all);
+                close_out oc
+              in
+              let plant src ~key_of ext =
+                copy src
+                  (Filename.concat (Jit.cache_dir ())
+                     ("bk_"
+                     ^ Digest.to_hex (Digest.string (key_of bp.Blueprint.key))
+                     ^ ext))
+              in
+              let cc_version =
+                let ic = Unix.open_process_in "cc --version 2>/dev/null" in
+                let line = try input_line ic with End_of_file -> "" in
+                ignore (Unix.close_process_in ic);
+                line
+              in
+              plant jd.Jit.cmxs ".cmxs" ~key_of:(fun k ->
+                  Sys.ocaml_version ^ "\x00blueprint\x00" ^ k);
+              plant cd.Cc.so ".so" ~key_of:(fun k ->
+                  cc_version ^ "\x00c-backend\x00" ^ k);
+              let jl =
+                ok_or_fail "ocaml" (Jit.compile_blueprint ~name:"stale" bp)
+              in
+              check_string "ocaml" "compiled"
+                (Jit.disposition_name jl.Jit.disposition);
+              let cl = ok_or_fail "c" (Cc.compile_blueprint ~name:"stale" bp) in
+              check_string "c" "compiled"
+                (Jit.disposition_name cl.Cc.disposition)));
+      case "C memo hits keep the vectorizer remarks without the .vec file"
+        (fun () ->
+          require_cc ();
+          with_private_cache (fun () ->
+              (* Two adjacent raw stores cc vectorizes as one basic
+                 block (the shape proves both in bounds). *)
+              let scale r =
+                B.set2 "A" (B.i r) (B.v "J")
+                  B.(a2 "A" (i r) (v "J") *. fc 1.4375)
+              in
+              let bp =
+                Blueprint.of_block
+                  ~shapes:[ ("A", [ (B.i 1, B.i 2); (B.i 1, B.v "N") ]) ]
+                  [ B.do_ "J" (B.i 1) (B.v "N") [ scale 1; scale 2 ] ]
+              in
+              let compile () =
+                ok_or_fail "compile" (Cc.compile_blueprint ~name:"vec" bp)
+              in
+              let l1 = compile () in
+              check_bool "the compile reported remarks" true
+                (l1.Cc.vec_remarks <> []);
+              Sys.remove (Filename.remove_extension l1.Cc.so ^ ".vec");
+              let l2 = compile () in
+              check_bool "memo hit" true (l2.Cc.disposition = Jit.Memo);
+              check_bool "same remarks" true
+                (l1.Cc.vec_remarks = l2.Cc.vec_remarks)));
     ] )

@@ -120,6 +120,40 @@ let suite =
           check_string "one blueprint" (str "blueprint" r1)
             (str "blueprint" r2);
           check_string "memo on repeat" "memo" (str "disposition" r2));
+      case "the digest is the MD5 of the marshaled traced arrays" (fun () ->
+          (* perfbench/layers.ml recomputes this digest for its
+             references, so the formula is pinned: every kernel at its
+             default size, at 12x and at its default size again, and
+             conv's 1-D arrays over a long series. *)
+          let scaled k bindings =
+            List.map
+              (fun (n, v) -> if n = "FREQ_PCT" then (n, v) else (n, k * v))
+              bindings
+          in
+          let cases =
+            List.concat_map
+              (fun (e : Blockability.entry) ->
+                let d = e.Blockability.default_bindings in
+                [ (e, d); (e, scaled 12 d); (e, d) ])
+              Blockability.entries
+            @ [
+                ( Option.get (Blockability.find "conv"),
+                  [ ("N1", 9000); ("N2", 9); ("N3", 9000) ] );
+              ]
+          in
+          List.iter
+            (fun ((e : Blockability.entry), bindings) ->
+              let kernel = e.Blockability.kernel in
+              let env = Kernel_def.make_env kernel ~bindings ~seed:5 in
+              let arrays =
+                List.map
+                  (fun a -> (a, Env.farray_data env a))
+                  kernel.Kernel_def.traced
+              in
+              check_string e.Blockability.name
+                (Digest.to_hex (Digest.string (Marshal.to_string arrays [])))
+                (Serve.digest_env e env))
+            cases);
       case "requests select a backend; digests are backend-independent"
         (fun () ->
           require_native ();
