@@ -1018,7 +1018,7 @@ let compile_cmd =
                        ("compile_s", Printf.sprintf "%.6f" c.Backend.bk_compile_s);
                        ("artifact", jstr c.Backend.bk_artifact);
                        ("cmxs", jstr c.Backend.bk_artifact);
-                       ("cached", string_of_bool c.Backend.bk_cached);
+                       ("cached", string_of_bool (Artifact_cache.cached c));
                        ( "vec_remarks",
                          jarr (List.map jstr c.Backend.bk_remarks) );
                      ])

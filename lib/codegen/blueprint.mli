@@ -32,7 +32,7 @@ type t = {
   unsafe : bool;  (** whether emission may use proven unchecked accesses *)
   bindings : (string * int) list;
       (** hoisted parameter values, in first-occurrence order; supplied
-          to the compiled kernel at call time ({!Jit.run}'s [bindings]) *)
+          to the compiled kernel at call time ([bk_run]'s [bindings]) *)
 }
 
 val of_block : ?unsafe:bool -> ?shapes:Emit.shapes -> Stmt.t list -> t

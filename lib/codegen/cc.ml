@@ -2,10 +2,10 @@
 
    The pipeline is [cc -std=c99 -O2 -shared -fPIC -ffp-contract=off]
    on the {!Emit_c} output, then [dlopen] through the cc_stubs shim.
-   Objects live in the same content-addressed cache as the OCaml
-   plugins ([Jit.cache_dir]), keyed by blueprint digest x backend tag
-   x [cc --version] x [Emit_c.revision], so a toolchain upgrade or a
-   changed C emitter invalidates exactly the C half of the cache.
+   Objects live in the {!Artifact_cache} beside the OCaml plugins,
+   keyed by blueprint digest x backend tag x [cc --version] x
+   [Emit_c.revision], so a toolchain upgrade or a changed C emitter
+   invalidates exactly the C half of the cache.
    [-ffp-contract=off] is load-bearing: it is what makes the object
    bitwise-comparable with the interpreter and the OCaml plugin (no FMA
    contraction of a*b+c). *)
@@ -24,105 +24,37 @@ external cc_run :
 
 type fn = { entry : nativeint; mf : Emit_c.manifest }
 
-type loaded = {
-  key : string;
-  so : string;
-  cached : bool;
-  disposition : Jit.disposition;
-  compile_s : float;
-  vec_remarks : string list;
-  fn : fn;
-}
-
-(* ---- compiler discovery ------------------------------------------ *)
-
-let find_cc () =
-  match Sys.getenv_opt "BLOCKC_CC" with
-  | Some p -> if Sys.file_exists p then Some p else None
-  | None ->
-      let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
-      List.find_map
-        (fun dir ->
-          if dir = "" then None
-          else
-            let p = Filename.concat dir "cc" in
-            if Sys.file_exists p then Some p else None)
-        (String.split_on_char ':' path)
-
 let available () =
-  match find_cc () with
-  | Some _ -> Ok ()
-  | None -> Error "cc not found on PATH (set BLOCKC_CC)"
+  Result.map ignore (Artifact_cache.find_compiler Artifact_cache.c)
 
 (* First line of [cc --version], memoized: part of the cache key, so
-   it must be stable for the life of the process and cheap after the
-   first call. *)
+   it must be cheap after the first call. *)
 let version_mu = Mutex.create ()
 let version_memo : (string, string) Hashtbl.t = Hashtbl.create 1
 
 let cc_version compiler =
-  Mutex.lock version_mu;
-  let v =
-    match Hashtbl.find_opt version_memo compiler with
-    | Some v -> v
-    | None ->
-        let v =
-          try
-            let ic =
-              Unix.open_process_in
-                (Filename.quote compiler ^ " --version 2>/dev/null")
-            in
-            let line = try input_line ic with End_of_file -> "" in
-            ignore (Unix.close_process_in ic);
-            line
-          with Unix.Unix_error _ | Sys_error _ -> ""
-        in
-        Hashtbl.replace version_memo compiler v;
-        v
-  in
-  Mutex.unlock version_mu;
-  v
+  match
+    Mutex.protect version_mu (fun () -> Hashtbl.find_opt version_memo compiler)
+  with
+  | Some v -> v
+  | None ->
+      (* Outside the lock: a slow compiler blocks only its own callers. *)
+      let v =
+        try
+          let ic =
+            Unix.open_process_in
+              (Filename.quote compiler ^ " --version 2>/dev/null")
+          in
+          let line = try input_line ic with End_of_file -> "" in
+          ignore (Unix.close_process_in ic);
+          line
+        with Unix.Unix_error _ | Sys_error _ -> ""
+      in
+      Mutex.protect version_mu (fun () ->
+          Hashtbl.replace version_memo compiler v);
+      v
 
 (* ---- compile + load ---------------------------------------------- *)
-
-let invocation_count = ref 0
-
-let invocation_counter =
-  lazy
-    (Obs.Metrics.counter ~help:"Actual cc runs (C-backend compiles)"
-       "cc.invocations")
-
-(* One coarse lock around compile-or-fetch: the C backend has no
-   serve-style concurrent-compile workload yet, so single-flighting per
-   key is not worth the machinery Jit needs.  A memo entry keeps the
-   vectorizer remarks read when the object was loaded, so a hit touches
-   neither the disk nor the block. *)
-let mu = Mutex.create ()
-let memo : (string, fn * string list) Hashtbl.t = Hashtbl.create 16
-
-let invocations () =
-  Mutex.lock mu;
-  let n = !invocation_count in
-  Mutex.unlock mu;
-  n
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error _ -> ""
-
-let first_lines ?(n = 4) s =
-  let lines = String.split_on_char '\n' (String.trim s) in
-  String.concat " | " (List.filteri (fun i _ -> i < n) lines)
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -135,174 +67,34 @@ let contains_sub s sub =
    survive the filter; an absent or empty file (flag unsupported, or
    nothing vectorized) is just []. *)
 let vec_remarks_of vecf =
-  read_file vecf
+  Artifact_cache.read_file vecf
   |> String.split_on_char '\n'
   |> List.filter_map (fun l ->
          let l = String.trim l in
          if l <> "" && contains_sub l "vectoriz" then Some l else None)
 
-let rec mkdirs p =
-  if not (Sys.file_exists p) then begin
-    let parent = Filename.dirname p in
-    if parent <> p then mkdirs parent;
-    try Sys.mkdir p 0o755 with Sys_error _ -> ()
-  end
-
-(* Produce [so] (unless a cached object is already there) and load it.
-   Caller holds [mu]. *)
-let build ~compiler ~name ~key ~so ~vecf (bp : Blueprint.t) mf =
-  let dir = Filename.dirname so in
-  let base = Filename.remove_extension (Filename.basename so) in
-  mkdirs dir;
-  let on_disk = Sys.file_exists so in
-  let t0 = Unix.gettimeofday () in
-  let built =
-    if on_disk then Ok ()
-    else
-      match
-        Emit_c.source ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
-          ~name bp.Blueprint.block
-      with
-      | Error _ as e -> e
-      | Ok src ->
-          Obs.span ~cat:"jit" "cc.compile"
-            ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
-          @@ fun () ->
-          let stem = Jit.scratch_stem dir base in
-          let tmp_c = stem ^ ".c" and tmp = stem ^ ".so" in
-          let tmp_vec = stem ^ ".vec" in
-          let errf = stem ^ ".err" in
-          write_file tmp_c src;
-          let cmd extra =
-            Printf.sprintf
-              "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off%s -o %s %s -lm \
-               2> %s"
-              (Filename.quote compiler) extra (Filename.quote tmp)
-              (Filename.quote tmp_c) (Filename.quote errf)
-          in
-          incr invocation_count;
-          Obs.Metrics.incr (Lazy.force invocation_counter);
-          (* First attempt asks for the vectorization report; compilers
-             that reject the flag (it is a GCC spelling) get a clean
-             retry without it. *)
-          let rc =
-            match
-              Sys.command (cmd (" -fopt-info-vec=" ^ Filename.quote tmp_vec))
-            with
-            | 0 -> 0
-            | _ ->
-                Jit.remove_quietly [ tmp_vec ];
-                Sys.command (cmd "")
-          in
-          let err = if rc <> 0 then read_file errf else "" in
-          Jit.remove_quietly [ errf ];
-          if rc <> 0 then begin
-            Jit.remove_quietly [ tmp_c; tmp; tmp_vec ];
-            Error
-              (Printf.sprintf "%s: cc failed (exit %d): %s" name rc
-                 (first_lines err))
-          end
-          else begin
-            (* The report first: a process that finds the object reads
-               it. *)
-            (try
-               Sys.rename tmp_c (Filename.concat dir (base ^ ".c"));
-               if Sys.file_exists tmp_vec then Sys.rename tmp_vec vecf
-               else Jit.remove_quietly [ vecf ];
-               Sys.rename tmp so
-             with Sys_error m -> failwith m);
-            Jit.prune_disk_cache ~keep:[ base ^ ".so" ] ();
-            Ok ()
-          end
-  in
-  let compile_s = Unix.gettimeofday () -. t0 in
-  match built with
-  | Error _ as e -> e
-  | Ok () -> (
-      match cc_load so with
-      | entry ->
-          let loaded = ({ entry; mf }, vec_remarks_of vecf) in
-          Hashtbl.replace memo key loaded;
-          Ok (loaded, (if on_disk then Jit.Disk else Jit.Compiled), compile_s)
-      | exception Failure m ->
-          Error (Printf.sprintf "%s: dlopen failed: %s" name m))
-
-let compile_blueprint ?cc ~name (bp : Blueprint.t) =
-  Obs.span ~cat:"jit" "cc.compile_blueprint"
-    ~args:[ ("kernel", Obs.Str name) ]
-  @@ fun () ->
-  let compiler = match cc with Some c -> Some c | None -> find_cc () in
-  match compiler with
-  | None -> Error "cc not found on PATH (set BLOCKC_CC)"
-  | Some compiler ->
-      let key =
-        Digest.to_hex
-          (Digest.string
-             (Printf.sprintf "%s\x00c-backend\x00emit-%d\x00%s"
-                (cc_version compiler) Emit_c.revision bp.Blueprint.key))
-      in
-      let dir = Jit.cache_dir () in
-      let so = Filename.concat dir ("bk_" ^ key ^ ".so") in
-      let vecf = Filename.concat dir ("bk_" ^ key ^ ".vec") in
-      let result =
-        Mutex.protect mu (fun () ->
-            match Hashtbl.find_opt memo key with
-            | Some hit -> Ok (hit, Jit.Memo, 0.0)
-            | None -> (
-                match Emit_c.manifest bp.Blueprint.block with
-                | Error m ->
-                    Error (Printf.sprintf "cannot compile %s: %s" name m)
-                | Ok mf -> build ~compiler ~name ~key ~so ~vecf bp mf))
-      in
-      Result.map
-        (fun ((fn, vec_remarks), disposition, compile_s) ->
-          {
-            key;
-            so;
-            cached = disposition <> Jit.Compiled;
-            disposition;
-            compile_s;
-            vec_remarks;
-            fn;
-          })
-        result
-
 (* ---- execution --------------------------------------------------- *)
-
-let flat_dims dims =
-  Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) dims)
 
 let run ?(bindings = []) fn env =
   Obs.span ~cat:"jit" "cc.run"
   @@ fun () ->
   let mf = fn.mf in
-  let geti n =
-    match List.assoc_opt n bindings with
-    | Some v -> v
-    | None -> if Env.has_iscalar env n then Env.iscalar env n else 0
+  let geti, getf = Artifact_cache.scalar_readers ~bindings env in
+  let dims get arrays =
+    Array.concat
+      (List.map (fun (n, _) -> Artifact_cache.flat_dims (get env n)) arrays)
   in
-  let getf n = if Env.has_fscalar env n then Env.fscalar env n else 0.0 in
   match
     let fa =
       Array.of_list
         (List.map (fun (n, _) -> Env.farray_data env n) mf.Emit_c.m_farrays)
     in
-    let fdim =
-      Array.concat
-        (List.map
-           (fun (n, _) -> flat_dims (Env.farray_dims env n))
-           mf.Emit_c.m_farrays)
-    in
+    let fdim = dims Env.farray_dims mf.Emit_c.m_farrays in
     let ia =
       Array.of_list
         (List.map (fun (n, _) -> Env.iarray_data env n) mf.Emit_c.m_iarrays)
     in
-    let idim =
-      Array.concat
-        (List.map
-           (fun (n, _) -> flat_dims (Env.iarray_dims env n))
-           mf.Emit_c.m_iarrays)
-    in
+    let idim = dims Env.iarray_dims mf.Emit_c.m_iarrays in
     let fsc = Array.of_list (List.map getf mf.Emit_c.m_fscalars) in
     let isc = Array.of_list (List.map geti mf.Emit_c.m_iscalars) in
     let msg = cc_run fn.entry (fa, fdim, ia, idim, fsc, isc) in
@@ -324,3 +116,62 @@ let run ?(bindings = []) fn env =
   | r -> r
   | exception Env.Error m -> Error m
   | exception Failure m -> Error m
+
+(* ---- compilation --------------------------------------------------- *)
+
+let compile_blueprint ?cc ~name (bp : Blueprint.t) =
+  Obs.span ~cat:"jit" "cc.compile_blueprint"
+    ~args:[ ("kernel", Obs.Str name) ]
+  @@ fun () ->
+  let compiler =
+    match cc with
+    | Some c -> Ok c
+    | None -> Artifact_cache.find_compiler Artifact_cache.c
+  in
+  match compiler with
+  | Error m -> Error m
+  | Ok compiler ->
+      let key =
+        Digest.to_hex
+          (Digest.string
+             (Printf.sprintf "%s\x00c-backend\x00emit-%d\x00%s"
+                (cc_version compiler) Emit_c.revision bp.Blueprint.key))
+      in
+      (* Forced on a miss only, so a memo hit walks nothing. *)
+      let manifest =
+        lazy
+          (Result.map_error
+             (Printf.sprintf "cannot compile %s: %s" name)
+             (Emit_c.manifest bp.Blueprint.block))
+      in
+      Artifact_cache.fetch Artifact_cache.c ~name ~key
+        ~emit:(fun () ->
+          Result.bind (Lazy.force manifest) (fun _ ->
+              Emit_c.source ~unsafe:bp.Blueprint.unsafe
+                ~shapes:bp.Blueprint.shapes ~name bp.Blueprint.block))
+        ~compile:(fun stem ->
+          let cmd extra =
+            Printf.sprintf
+              "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off%s -o %s %s -lm"
+              (Filename.quote compiler) extra
+              (Filename.quote (stem ^ ".so"))
+              (Filename.quote (stem ^ ".c"))
+          in
+          let run = Artifact_cache.run_tool Artifact_cache.c ~name ~stem in
+          (* First attempt asks for the vectorization report; compilers
+             that reject the flag (it is a GCC spelling) get a clean
+             retry without it. *)
+          match run (cmd (" -fopt-info-vec=" ^ Filename.quote (stem ^ ".vec"))) with
+          | Ok () -> Ok ()
+          | Error _ ->
+              (try Sys.remove (stem ^ ".vec") with Sys_error _ -> ());
+              run (cmd ""))
+        ~load:(fun so ->
+          Result.bind (Lazy.force manifest) (fun mf ->
+              match cc_load so with
+              | entry ->
+                  Ok
+                    ( vec_remarks_of (Filename.remove_extension so ^ ".vec"),
+                      fun ?bindings env -> run ?bindings { entry; mf } env )
+              | exception Failure m ->
+                  Error (Printf.sprintf "%s: dlopen failed: %s" name m)))

@@ -552,8 +552,8 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
                           nt_point_s = tp;
                           nt_transformed_s = tt;
                           nt_speedup = (if tt > 0.0 then tp /. tt else 0.0);
-                          nt_point_cached = point.Backend.bk_cached;
-                          nt_transformed_cached = transformed.Backend.bk_cached;
+                          nt_point_cached = Artifact_cache.cached point;
+                          nt_transformed_cached = Artifact_cache.cached transformed;
                           nt_model_speedup = model;
                           nt_bindings = bindings;
                           nt_verify_bindings = verify_bindings;

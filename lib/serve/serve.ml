@@ -428,7 +428,7 @@ let compile_fields c =
     ( "disposition",
       jstr (Jit.disposition_name c.c_cm.Backend.bk_disposition) );
     ("compile_s", J.Number c.c_cm.Backend.bk_compile_s);
-    ("cached", J.Bool c.c_cm.Backend.bk_cached);
+    ("cached", J.Bool (Artifact_cache.cached c.c_cm));
     (* "cmxs" kept for older clients; "artifact" is backend-neutral *)
     ("cmxs", jstr c.c_cm.Backend.bk_artifact);
     ("artifact", jstr c.c_cm.Backend.bk_artifact);
@@ -678,21 +678,21 @@ let handle_profile ?id req =
             ])
 
 let handle_status ?id () =
-  let d = Jit.disk_stats () in
+  let s = Artifact_cache.stats () in
   wrap ?id true
     [
-      ("compiler_invocations", jint (Jit.compiler_invocations ()));
-      ("memo_size", jint (Jit.memo_size ()));
-      ("memo_evictions", jint (Jit.memo_evictions ()));
-      ("memo_hits", jint (Jit.memo_hits ()));
-      ("disk_hits", jint (Jit.disk_hits ()));
-      ("dedup_waits", jint (Jit.dedup_waits ()));
-      ("cache_dir", jstr (Jit.cache_dir ()));
-      ("disk_entries", jint d.Jit.entries);
-      ("disk_bytes", jint d.Jit.bytes);
-      ("disk_oldest_age_s", J.Number d.Jit.oldest_age_s);
-      ("disk_evictions", jint (Jit.disk_evictions ()));
-      ("cc_invocations", jint (Cc.invocations ()));
+      ("compiler_invocations", jint s.ocaml_builds);
+      ("memo_size", jint s.memo_size);
+      ("memo_evictions", jint s.memo_evictions);
+      ("memo_hits", jint s.memo_hits);
+      ("disk_hits", jint s.disk_hits);
+      ("dedup_waits", jint s.dedup_waits);
+      ("cache_dir", jstr (Artifact_cache.dir ()));
+      ("disk_entries", jint s.disk_entries);
+      ("disk_bytes", jint s.disk_bytes);
+      ("disk_oldest_age_s", J.Number s.disk_oldest_age_s);
+      ("disk_evictions", jint s.disk_evictions);
+      ("cc_invocations", jint s.c_builds);
       ("cc_available", J.Bool (Result.is_ok (Cc.available ())));
       ("sampler_running", J.Bool (Obs.Sampler.running ()));
       ("sampler_hz", J.Number (Obs.Sampler.hz ()));

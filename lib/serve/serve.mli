@@ -25,8 +25,8 @@
       cache key, the cache ["disposition"] (["memo"] / ["disk"] /
       ["compiled"]), the compile wall time, and the on-disk
       ["artifact"] path (also echoed as ["cmxs"] for older clients).
-      Repeat compiles of one loop structure are a hash lookup
-      ({!Jit.compile_blueprint} / {!Cc.compile_blueprint}).
+      Repeat compiles of one loop structure are a hash lookup in the
+      {!Artifact_cache}.
     - [execute {"kernel","variant","bindings","seed","backend"?}] —
       compile (or fetch) and run once at the given sizes on the
       requested backend; replies with an MD5 digest of the kernel's
@@ -49,12 +49,15 @@
     - [profile {"kernel","bindings","seed"}] — cache-simulate both
       variants on the paper's RS/6000-540 model; replies with per-
       variant miss and memory-cycle counts.
-    - [status] — process-wide JIT cache counters ([ocamlopt] runs, memo
-      size, hits and evictions, disk hits, single-flight dedup waits),
-      the cache directory plus its on-disk shape (["disk_entries"],
+    - [status] — the process-wide {!Artifact_cache} counters:
+      ["compiler_invocations"] ([ocamlopt] runs) and ["cc_invocations"]
+      ([cc] runs); and, over both backends together, ["memo_size"],
+      ["memo_hits"], ["memo_evictions"], ["disk_hits"] and the
+      single-flight ["dedup_waits"].  Then the cache directory plus its
+      on-disk shape over both backends (["disk_entries"],
       ["disk_bytes"], ["disk_oldest_age_s"], ["disk_evictions"] — see
-      [BLOCKC_JIT_DISK_CAP]), the C backend state (["cc_available"],
-      ["cc_invocations"]), and the
+      [BLOCKC_JIT_DISK_CAP]), whether a C compiler is available
+      (["cc_available"]), and the
       {!Obs.Sampler} state (["sampler_running"], ["sampler_hz"],
       ["sampler_samples"]).
     - [flame {"hz"?,"reset"?}] — continuous-profiling readout: starts

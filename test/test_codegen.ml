@@ -26,7 +26,7 @@ let require_cc () =
    if an earlier test run left artifacts on disk.  It holds only files,
    and is removed afterwards. *)
 let with_private_cache f =
-  let saved = Jit.cache_dir () in
+  let saved = Artifact_cache.dir () in
   let tmp = Filename.temp_file "blockc-cache-test" "" in
   Sys.remove tmp;
   Unix.mkdir tmp 0o700;
@@ -52,6 +52,14 @@ let simple_env ~n =
 let emit_ok ?unsafe ?shapes ~name block =
   ok_or_fail "emit" (Emit.source ?unsafe ?shapes ~name block)
 
+(* Blueprint-normalize, compile on [backend] and run. *)
+let run_native ?shapes ?(backend = (module Backend.Ocaml : Backend.S)) block env
+    =
+  let bp = Blueprint.of_block ?shapes block in
+  let module Bk = (val backend : Backend.S) in
+  Result.bind (Bk.compile_blueprint ~name:"probe" bp) (fun cm ->
+      cm.Backend.bk_run ~bindings:bp.Blueprint.bindings env)
+
 (* The block through the interpreter and through [backend]'s compiled
    blueprint, from two environments [make_env] builds alike; the [only]
    arrays must agree bitwise. *)
@@ -59,11 +67,9 @@ let native_matches_interp ?shapes ~only ~backend ~what ~make_env block =
   let env_i = make_env () in
   Exec.run env_i block;
   let env_n = make_env () in
-  let bp = Blueprint.of_block ?shapes block in
   let module Bk = (val backend : Backend.S) in
   let what = Printf.sprintf "%s (%s)" what Bk.tag in
-  let cm = ok_or_fail what (Bk.compile_blueprint ~name:"probe" bp) in
-  ok_or_fail what (cm.Backend.bk_run ~bindings:bp.Blueprint.bindings env_n);
+  ok_or_fail what (run_native ?shapes ~backend block env_n);
   match Env.diff ~only env_i env_n with
   | None -> ()
   | Some m -> Alcotest.failf "%s: %s" what m
@@ -143,7 +149,7 @@ let suite =
           Exec.run env_i e.kernel.Kernel_def.block;
           let env_n = Kernel_def.make_env e.kernel ~bindings ~seed:11 in
           ok_or_fail "native run"
-            (Jit.run_block ~shapes:e.kernel.Kernel_def.shapes ~name:"lu_point"
+            (run_native ~shapes:e.kernel.Kernel_def.shapes
                e.kernel.Kernel_def.block env_n);
           match Env.diff ~only:[ "A" ] env_i env_n with
           | None -> ()
@@ -156,7 +162,7 @@ let suite =
           Exec.run env_i e.kernel.Kernel_def.block;
           let env_n = Kernel_def.make_env e.kernel ~bindings ~seed:5 in
           ok_or_fail "native run"
-            (Jit.run_block ~shapes:e.kernel.Kernel_def.shapes ~name:"conv_point"
+            (run_native ~shapes:e.kernel.Kernel_def.shapes
                e.kernel.Kernel_def.block env_n);
           match Env.diff ~only:e.kernel.Kernel_def.traced env_i env_n with
           | None -> ()
@@ -170,7 +176,7 @@ let suite =
             ]
           in
           let env = simple_env ~n:4 in
-          ok_or_fail "native run" (Jit.run_block ~name:"writeback" block env);
+          ok_or_fail "native run" (run_native block env);
           check_int "T" 8 (Env.iscalar env "T");
           check_bool "S" true (Float.equal (Env.fscalar env "S") 3.5));
       case "zero-step loop fails like the interpreter" (fun () ->
@@ -188,30 +194,39 @@ let suite =
             ]
           in
           let env = simple_env ~n:4 in
-          match Jit.run_block ~name:"zerostep" block env with
+          match run_native block env with
           | Ok () -> Alcotest.fail "expected a zero-step error"
           | Error m ->
               check_bool "message" true (contains m "zero step"));
       case "second compile of the same source hits the cache" (fun () ->
           require_native ();
-          let e = entry "lu" in
-          let src =
-            emit_ok ~shapes:e.kernel.Kernel_def.shapes ~name:"lu_point"
-              e.kernel.Kernel_def.block
-          in
-          let l1 = ok_or_fail "compile" (Jit.compile ~name:"lu_point" src) in
-          let l2 = ok_or_fail "compile" (Jit.compile ~name:"lu_point" src) in
-          check_bool "memoized" true l2.Jit.cached;
-          check_bool "same key" true (String.equal l1.Jit.key l2.Jit.key));
+          with_private_cache (fun () ->
+              let bp =
+                Blueprint.of_block [ Stmt.Assign ("S", [], B.fc 16.0625) ]
+              in
+              let compile () =
+                ok_or_fail "compile" (Jit.compile_blueprint ~name:"memo" bp)
+              in
+              let l1 = compile () in
+              let l2 = compile () in
+              check_bool "compiled" false (Artifact_cache.cached l1);
+              check_bool "memoized" true
+                (l2.Backend.bk_disposition = Artifact_cache.Memo);
+              check_string "same key" l1.Backend.bk_key l2.Backend.bk_key));
       case "broken ocamlopt degrades to a clear error" (fun () ->
-          (* A unique name makes a unique source, so neither the memo
-             nor the on-disk cache can satisfy the request. *)
+          require_native ();
           let block = [ Stmt.Assign ("S", [], B.fc 1.0) ] in
-          let src = emit_ok ~name:"fallback_probe_no_such_compiler" block in
-          (match Jit.compile ~ocamlopt:"/nonexistent/ocamlopt" ~name:"probe" src with
-          | Ok _ -> Alcotest.fail "expected a compile failure"
-          | Error m ->
-              check_bool "mentions ocamlopt" true (contains m "ocamlopt"));
+          with_private_cache (fun () ->
+              (* An empty cache: neither the memo nor the disk can
+                 satisfy the request. *)
+              match
+                Jit.compile_blueprint ~ocamlopt:"/nonexistent/ocamlopt"
+                  ~name:"probe"
+                  (Blueprint.of_block [ Stmt.Assign ("S", [], B.fc 1.03125) ])
+              with
+              | Ok _ -> Alcotest.fail "expected a compile failure"
+              | Error m ->
+                  check_bool "mentions ocamlopt" true (contains m "ocamlopt"));
           (* The interpreter path is unaffected. *)
           let env = simple_env ~n:2 in
           Exec.run env block;
@@ -258,17 +273,8 @@ let suite =
           and bp28 = Blueprint.of_block ~shapes:shapes28 block28 in
           check_string "one blueprint key" bp24.Blueprint.key
             bp28.Blueprint.key;
-          (* A private cache dir makes the first compile a real ocamlopt
-             run even if an earlier test run left artifacts on disk. *)
-          let saved = Jit.cache_dir () in
-          let tmp = Filename.temp_file "blockc-bp-test" "" in
-          Sys.remove tmp;
-          Unix.mkdir tmp 0o700;
-          Unix.putenv "BLOCKC_JIT_CACHE" tmp;
-          Fun.protect
-            ~finally:(fun () -> Unix.putenv "BLOCKC_JIT_CACHE" saved)
-            (fun () ->
-              let c0 = Jit.compiler_invocations () in
+          with_private_cache (fun () ->
+              let c0 = (Artifact_cache.stats ()).ocaml_builds in
               let l24 =
                 ok_or_fail "compile 24"
                   (Jit.compile_blueprint ~name:"lu_n24" bp24)
@@ -278,13 +284,13 @@ let suite =
                   (Jit.compile_blueprint ~name:"lu_n28" bp28)
               in
               check_int "exactly one ocamlopt invocation" 1
-                (Jit.compiler_invocations () - c0);
+                ((Artifact_cache.stats ()).ocaml_builds - c0);
               check_bool "second compile is a memo hit" true
-                (l28.Jit.disposition = Jit.Memo);
-              check_string "one artifact" l24.Jit.cmxs l28.Jit.cmxs;
+                (l28.Backend.bk_disposition = Artifact_cache.Memo);
+              check_string "one artifact" l24.Backend.bk_artifact l28.Backend.bk_artifact;
               (* Bitwise vs the interpreter at both sizes. *)
               List.iter
-                (fun (n, block, (bp : Blueprint.t), (l : Jit.loaded)) ->
+                (fun (n, block, (bp : Blueprint.t), (l : Backend.compiled)) ->
                   let bindings = [ ("N", n) ] in
                   let env_i =
                     Kernel_def.make_env e.kernel ~bindings ~seed:11
@@ -294,30 +300,24 @@ let suite =
                     Kernel_def.make_env e.kernel ~bindings ~seed:11
                   in
                   ok_or_fail "native run"
-                    (Jit.run ~bindings:bp.Blueprint.bindings l.Jit.fn env_n);
+                    (l.Backend.bk_run ~bindings:bp.Blueprint.bindings env_n);
                   match Env.diff ~only:[ "A" ] env_i env_n with
                   | None -> ()
                   | Some m -> Alcotest.failf "N=%d: %s" n m)
                 [ (24, block24, bp24, l24); (28, block28, bp28, l28) ]));
       case "blueprint memo is LRU-bounded and counts evictions" (fun () ->
           require_native ();
-          let saved_dir = Jit.cache_dir () in
           let saved_cap =
             Option.value
               (Sys.getenv_opt "BLOCKC_JIT_MEMO_CAP")
               ~default:"64"
           in
-          let tmp = Filename.temp_file "blockc-lru-test" "" in
-          Sys.remove tmp;
-          Unix.mkdir tmp 0o700;
-          Unix.putenv "BLOCKC_JIT_CACHE" tmp;
           Unix.putenv "BLOCKC_JIT_MEMO_CAP" "2";
           Fun.protect
-            ~finally:(fun () ->
-              Unix.putenv "BLOCKC_JIT_CACHE" saved_dir;
-              Unix.putenv "BLOCKC_JIT_MEMO_CAP" saved_cap)
+            ~finally:(fun () -> Unix.putenv "BLOCKC_JIT_MEMO_CAP" saved_cap)
             (fun () ->
-              let e0 = Jit.memo_evictions () in
+              with_private_cache @@ fun () ->
+              let e0 = (Artifact_cache.stats ()).memo_evictions in
               (* Three distinct structures (float literals are never
                  hoisted, so each is its own blueprint key). *)
               List.iter
@@ -330,38 +330,139 @@ let suite =
                     (ok_or_fail "compile"
                        (Jit.compile_blueprint ~name:"lru_probe" bp)))
                 [ 1.125; 2.125; 3.125 ];
-              check_bool "memo stayed within cap" true (Jit.memo_size () <= 2);
+              let s = Artifact_cache.stats () in
+              check_bool "memo stayed within cap" true (s.memo_size <= 2);
               check_bool "evictions counted" true
-                (Jit.memo_evictions () - e0 >= 1)));
+                (s.memo_evictions - e0 >= 1)));
       case "concurrent compiles of one blueprint are single-flighted"
         (fun () ->
           require_native ();
-          let saved = Jit.cache_dir () in
-          let tmp = Filename.temp_file "blockc-flight-test" "" in
-          Sys.remove tmp;
-          Unix.mkdir tmp 0o700;
-          Unix.putenv "BLOCKC_JIT_CACHE" tmp;
-          Fun.protect
-            ~finally:(fun () -> Unix.putenv "BLOCKC_JIT_CACHE" saved)
-            (fun () ->
+          require_cc ();
+          List.iter
+            (fun ((module Bk : Backend.S), builds) ->
+              with_private_cache @@ fun () ->
               let bp =
                 Blueprint.of_block [ Stmt.Assign ("S", [], B.fc 7.0625) ]
               in
-              let c0 = Jit.compiler_invocations () in
+              let c0 = builds (Artifact_cache.stats ()) in
               let ds =
                 List.init 3 (fun _ ->
                     Domain.spawn (fun () ->
-                        Jit.compile_blueprint ~name:"flight_probe" bp))
+                        Bk.compile_blueprint ~name:"flight_probe" bp))
               in
               let keys =
                 List.map
-                  (fun d ->
-                    (ok_or_fail "compile" (Domain.join d)).Jit.key)
+                  (fun d -> (ok_or_fail "compile" (Domain.join d)).Backend.bk_key)
                   ds
               in
-              check_int "one ocamlopt for three requests" 1
-                (Jit.compiler_invocations () - c0);
-              List.iter (check_string "same key" (List.hd keys)) keys));
+              check_int
+                (Printf.sprintf "one %s build for three requests" Bk.tag)
+                1
+                (builds (Artifact_cache.stats ()) - c0);
+              List.iter (check_string "same key" (List.hd keys)) keys)
+            [
+              ((module Backend.Ocaml), fun s -> s.Artifact_cache.ocaml_builds);
+              ((module Backend.C), fun s -> s.Artifact_cache.c_builds);
+            ]);
+      case "a build that cannot write fails without wedging its key"
+        (fun () ->
+          require_native ();
+          require_cc ();
+          (* A cache directory under a regular file: every write of the
+             build fails. *)
+          let file = Filename.temp_file "blockc-not-a-dir" "" in
+          let saved = Artifact_cache.dir () in
+          Unix.putenv "BLOCKC_JIT_CACHE" (Filename.concat file "cache");
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.putenv "BLOCKC_JIT_CACHE" saved;
+              Sys.remove file)
+            (fun () ->
+              let bp =
+                Blueprint.of_block [ Stmt.Assign ("S", [], B.fc 13.0625) ]
+              in
+              List.iter
+                (fun (module Bk : Backend.S) ->
+                  (* On a domain, so a compile waiting forever for a
+                     claim nobody releases fails the test instead of
+                     hanging it. *)
+                  let attempt () =
+                    let result = Atomic.make None in
+                    let d =
+                      Domain.spawn (fun () ->
+                          Atomic.set result
+                            (Some
+                               (try Bk.compile_blueprint ~name:"unwritable" bp
+                                with e ->
+                                  Error ("raised " ^ Printexc.to_string e))))
+                    in
+                    let rec wait n =
+                      match Atomic.get result with
+                      | Some r ->
+                          Domain.join d;
+                          r
+                      | None when n = 0 ->
+                          Alcotest.failf "%s: the compile hung" Bk.tag
+                      | None ->
+                          Unix.sleepf 0.01;
+                          wait (n - 1)
+                    in
+                    wait 2000
+                  in
+                  for i = 1 to 2 do
+                    match attempt () with
+                    | Ok _ -> Alcotest.failf "%s: compile %d succeeded" Bk.tag i
+                    | Error m ->
+                        check_bool
+                          (Printf.sprintf "%s: compile %d is an Error: %s"
+                             Bk.tag i m)
+                          true
+                          (String.starts_with ~prefix:"unwritable" m)
+                  done)
+                Backend.all));
+      case "a slow C build does not hold up memo hits on other keys"
+        (fun () ->
+          require_cc ();
+          with_private_cache (fun () ->
+              let probe c =
+                Blueprint.of_block [ Stmt.Assign ("S", [], B.fc c) ]
+              in
+              let hit () = Cc.compile_blueprint ~name:"hit" (probe 14.0625) in
+              ignore (ok_or_fail "warm" (hit ()));
+              (* A compiler that announces each build, then takes 2 s
+                 over it. *)
+              let slow_cc = Filename.concat (Artifact_cache.dir ()) "slow-cc" in
+              let started = slow_cc ^ ".started" in
+              Out_channel.with_open_bin slow_cc (fun oc ->
+                  Printf.fprintf oc
+                    "#!/bin/sh\ncase \"$1\" in --version) exec cc \"$@\";; esac\n\
+                     : > %s\nsleep 2\nexec cc \"$@\"\n"
+                    (Filename.quote started));
+              Unix.chmod slow_cc 0o755;
+              let slow =
+                Domain.spawn (fun () ->
+                    Cc.compile_blueprint ~cc:slow_cc ~name:"slow"
+                      (probe 15.0625))
+              in
+              let rec wait n =
+                if n > 0 && not (Sys.file_exists started) then begin
+                  Unix.sleepf 0.01;
+                  wait (n - 1)
+                end
+              in
+              wait 2000;
+              let t0 = Unix.gettimeofday () in
+              let l = ok_or_fail "hit" (hit ()) in
+              let dt = Unix.gettimeofday () -. t0 in
+              let built = ok_or_fail "slow" (Domain.join slow) in
+              check_bool "the slow build ran" true (Sys.file_exists started);
+              check_string "memo hit" "memo"
+                (Jit.disposition_name l.Backend.bk_disposition);
+              check_bool
+                (Printf.sprintf "the hit took %.3f s, not the build's 2 s" dt)
+                true (dt < 1.0);
+              check_string "slow build" "compiled"
+                (Jit.disposition_name built.Backend.bk_disposition)));
       qcase ~count:60 "blueprint specialization is the exact inverse of \
                        hoisting" Gen_prog.gen (fun p ->
           let bp = Blueprint.of_block p.Gen_prog.block in
@@ -388,9 +489,7 @@ let suite =
                   (Cc.compile_blueprint ~name:(name ^ "_c") bp)
               in
               ok_or_fail "cc run"
-                (Cc.run
-                   ~bindings:(bindings @ bp.Blueprint.bindings)
-                   l.Cc.fn env_c);
+                (l.Backend.bk_run ~bindings:(bindings @ bp.Blueprint.bindings) env_c);
               match Env.diff ~only:e.kernel.Kernel_def.traced env_i env_c with
               | None -> ()
               | Some m -> Alcotest.failf "%s: %s" name m)
@@ -408,8 +507,7 @@ let suite =
           Env.add_iarray env "K" [ (1, 3) ];
           let bp = Blueprint.of_block block in
           let l = ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"wb" bp) in
-          ok_or_fail "cc run"
-            (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env);
+          ok_or_fail "cc run" (l.Backend.bk_run ~bindings:bp.Blueprint.bindings env);
           check_int "T" 8 (Env.iscalar env "T");
           check_int "K(2)" 5 (Env.get_i env "K" [ 2 ]);
           check_bool "S" true (Float.equal (Env.fscalar env "S") 3.5));
@@ -422,7 +520,7 @@ let suite =
             let l =
               ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"fail" bp)
             in
-            Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env
+            l.Backend.bk_run ~bindings:bp.Blueprint.bindings env
           in
           (match
              run
@@ -452,19 +550,20 @@ let suite =
               let bp =
                 Blueprint.of_block [ Stmt.Assign ("S", [], B.fc 9.0625) ]
               in
-              let c0 = Cc.invocations () in
+              let c0 = (Artifact_cache.stats ()).c_builds in
               let l1 =
                 ok_or_fail "compile" (Cc.compile_blueprint ~name:"cache" bp)
               in
               let l2 =
                 ok_or_fail "compile" (Cc.compile_blueprint ~name:"cache" bp)
               in
-              check_int "one cc run" 1 (Cc.invocations () - c0);
-              check_bool "memo hit" true (l2.Cc.disposition = Jit.Memo);
+              let s = Artifact_cache.stats () in
+              check_int "one cc run" 1 (s.c_builds - c0);
+              check_bool "memo hit" true
+                (l2.Backend.bk_disposition = Artifact_cache.Memo);
               check_bool "so artifact" true
-                (Filename.check_suffix l1.Cc.so ".so");
-              check_bool "disk stats count .so" true
-                ((Jit.disk_stats ()).Jit.entries >= 1)));
+                (Filename.check_suffix l1.Backend.bk_artifact ".so");
+              check_bool "disk stats count .so" true (s.disk_entries >= 1)));
       case "backend registry resolves tags" (fun () ->
           check_bool "ocaml" true (Option.is_some (Backend.of_tag "ocaml"));
           check_bool "c" true (Option.is_some (Backend.of_tag "c"));
@@ -482,7 +581,7 @@ let suite =
                 ~finally:(fun () ->
                   Unix.putenv "BLOCKC_JIT_DISK_CAP" saved_cap)
                 (fun () ->
-                  let e0 = Jit.disk_evictions () in
+                  let e0 = (Artifact_cache.stats ()).disk_evictions in
                   let compile c =
                     ok_or_fail "compile"
                       (Jit.compile_blueprint ~name:"cap_probe"
@@ -492,13 +591,13 @@ let suite =
                   let l2 = compile 5.125 in
                   (* The cap (1 byte) forces every artifact but the one
                      just written out of the cache. *)
-                  let stats = Jit.disk_stats () in
+                  let s = Artifact_cache.stats () in
                   check_int "only the newest artifact remains" 1
-                    stats.Jit.entries;
+                    s.disk_entries;
                   check_bool "evictions counted" true
-                    (Jit.disk_evictions () - e0 >= 1);
+                    (s.disk_evictions - e0 >= 1);
                   check_bool "survivor is the newest" true
-                    (Sys.file_exists l2.Jit.cmxs))));
+                    (Sys.file_exists l2.Backend.bk_artifact))));
       case "a hoisted offset never divides ahead of a zero-trip loop"
         (fun () ->
           require_native ();
@@ -642,7 +741,7 @@ let suite =
               in
               let plant src ~key_of ext =
                 copy src
-                  (Filename.concat (Jit.cache_dir ())
+                  (Filename.concat (Artifact_cache.dir ())
                      ("bk_"
                      ^ Digest.to_hex (Digest.string (key_of bp.Blueprint.key))
                      ^ ext))
@@ -653,18 +752,18 @@ let suite =
                 ignore (Unix.close_process_in ic);
                 line
               in
-              plant jd.Jit.cmxs ".cmxs" ~key_of:(fun k ->
+              plant jd.Backend.bk_artifact ".cmxs" ~key_of:(fun k ->
                   Sys.ocaml_version ^ "\x00blueprint\x00" ^ k);
-              plant cd.Cc.so ".so" ~key_of:(fun k ->
+              plant cd.Backend.bk_artifact ".so" ~key_of:(fun k ->
                   cc_version ^ "\x00c-backend\x00" ^ k);
               let jl =
                 ok_or_fail "ocaml" (Jit.compile_blueprint ~name:"stale" bp)
               in
               check_string "ocaml" "compiled"
-                (Jit.disposition_name jl.Jit.disposition);
+                (Jit.disposition_name jl.Backend.bk_disposition);
               let cl = ok_or_fail "c" (Cc.compile_blueprint ~name:"stale" bp) in
               check_string "c" "compiled"
-                (Jit.disposition_name cl.Cc.disposition)));
+                (Jit.disposition_name cl.Backend.bk_disposition)));
       case "C memo hits keep the vectorizer remarks without the .vec file"
         (fun () ->
           require_cc ();
@@ -685,10 +784,11 @@ let suite =
               in
               let l1 = compile () in
               check_bool "the compile reported remarks" true
-                (l1.Cc.vec_remarks <> []);
-              Sys.remove (Filename.remove_extension l1.Cc.so ^ ".vec");
+                (l1.Backend.bk_remarks <> []);
+              Sys.remove (Filename.remove_extension l1.Backend.bk_artifact ^ ".vec");
               let l2 = compile () in
-              check_bool "memo hit" true (l2.Cc.disposition = Jit.Memo);
+              check_bool "memo hit" true
+                (l2.Backend.bk_disposition = Artifact_cache.Memo);
               check_bool "same remarks" true
-                (l1.Cc.vec_remarks = l2.Cc.vec_remarks)));
+                (l1.Backend.bk_remarks = l2.Backend.bk_remarks)));
     ] )
